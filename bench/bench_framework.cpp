@@ -46,7 +46,7 @@ void BM_BatchCost(benchmark::State& state) {
   // Profile the charged batch (not the BFS setup above): per-round traffic
   // plus the Theorem 8 phase spans, deposited into the session run report.
   obs::RoundProfiler profiler;
-  engine.set_observer(&profiler);
+  engine.set_observers({&profiler});
   framework::OracleConfig config = sum_config(k, p, q);
   config.profiler = &profiler;
 
@@ -59,7 +59,7 @@ void BM_BatchCost(benchmark::State& state) {
     cost = oracle.total_cost();
     measured = static_cast<double>(cost.rounds);
   }
-  engine.set_observer(nullptr);
+  engine.set_observers({});
   double d = static_cast<double>(tree.height);
   double w_val = static_cast<double>(framework::words_for_bits(q, n));
   double w_idx =

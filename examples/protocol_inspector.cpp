@@ -18,7 +18,7 @@ int main() {
   net::Graph graph = net::binary_tree(15);
   net::Engine engine(graph, 1, 1);
   net::Trace trace;
-  engine.set_trace(&trace);
+  engine.set_observers({&trace});
 
   auto election = net::elect_leader(engine);
   net::BfsTree tree = net::build_bfs_tree(engine, election.leader);

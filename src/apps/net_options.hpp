@@ -5,6 +5,7 @@
 
 #include "src/net/engine.hpp"
 #include "src/net/fault.hpp"
+#include "src/net/trace.hpp"
 #include "src/obs/round_profiler.hpp"
 #include "src/recover/checkpoint.hpp"
 #include "src/recover/watchdog.hpp"
@@ -29,19 +30,18 @@ struct NetOptions {
   /// fault plan unless the app brings its own recovery.
   net::Transport transport = net::Transport::kDirect;
   net::ReliableParams reliable_params;
-  /// When non-null, every delivery of every run is recorded here (see
-  /// Engine::set_trace) — the determinism auditor in tools/chaos_run diffs
-  /// two such recordings byte-for-byte.
+  /// When non-null, every send of every run is recorded here — the
+  /// determinism auditor in tools/chaos_run diffs two such recordings
+  /// byte-for-byte. Must outlive every run of the configured engine.
   net::Trace* trace = nullptr;
-  /// When non-null, installed as the engine's passive observer; the
+  /// When non-null, installed as a passive engine observer; the
   /// model-conformance verifier (src/check/verifier.hpp) is the intended
   /// client. Must outlive every run of the configured engine.
   net::EngineObserver* observer = nullptr;
   /// When non-null, the metrics tap: a RoundProfiler recording per-round
-  /// traffic series and phase spans for run reports (src/obs). The engine
-  /// has a single observer slot, so the profiler takes it and forwards
-  /// every callback to `observer` — both taps see identical streams. Must
-  /// outlive every run of the configured engine.
+  /// traffic series and phase spans for run reports (src/obs). It sees the
+  /// same callback stream as `observer`. Must outlive every run of the
+  /// configured engine.
   obs::RoundProfiler* metrics = nullptr;
   /// Worker threads for the engine's deterministic sharded round execution
   /// (Engine::set_threads). 1 = serial; any value produces byte-identical
@@ -52,31 +52,23 @@ struct NetOptions {
   /// from their last checkpoint plus neighbor-assisted catch-up (src/recover).
   /// The extra traffic is reported in RunResult::recovery_words/rounds.
   recover::RecoveryPolicy recovery;
-  /// When non-null, a run-level liveness watchdog inserted into the observer
-  /// chain: it converts quiescence-without-termination and retransmit-storm
+  /// When non-null, a run-level liveness watchdog on the engine's observer
+  /// list: it converts quiescence-without-termination and retransmit-storm
   /// livelock into a thrown recover::LivelockError naming suspected-dead
   /// nodes. Must outlive every run of the configured engine.
   recover::Watchdog* watchdog = nullptr;
 
-  /// Apply cut tracking, the fault plan, the transport, recovery, and any
-  /// trace / observer taps to an engine (bandwidth and seed are constructor
-  /// parameters of Engine). Observer chain: metrics -> watchdog -> observer.
+  /// Apply cut tracking, the fault plan, the transport, recovery, and the
+  /// taps to an engine (bandwidth and seed are constructor parameters of
+  /// Engine). The observer list is trace, metrics, observer, watchdog: the
+  /// watchdog throws from on_round_end, so it goes last and every other tap
+  /// has seen the round it gives up on.
   void configure(net::Engine& engine) const {
     engine.track_cut(tracked_cut);
     if (fault_plan.active()) engine.set_fault_plan(fault_plan);
     engine.set_transport(transport, reliable_params);
-    engine.set_trace(trace);
     engine.set_recovery(recovery);
-    net::EngineObserver* tail = observer;
-    if (watchdog != nullptr) {
-      watchdog->set_downstream(tail);
-      tail = watchdog;
-    }
-    if (metrics != nullptr) {
-      metrics->set_downstream(tail);
-      tail = metrics;
-    }
-    engine.set_observer(tail);
+    engine.set_observers({trace, metrics, observer, watchdog});
     engine.set_threads(threads);
   }
 };

@@ -54,7 +54,7 @@ void Verifier::attach(net::Engine& engine) {
   bind_graph(engine.graph());
   bandwidth_ = engine.bandwidth();
   run_active_ = false;
-  engine.set_observer(this);
+  engine.set_observers({this});
 }
 
 void Verifier::detach() {
@@ -73,7 +73,7 @@ std::size_t Verifier::slot(net::NodeId from, net::NodeId to) const {
 }
 
 void Verifier::on_run_begin(const net::Engine& engine) {
-  // Self-initializing: a verifier handed to an engine through set_observer
+  // Self-initializing: a verifier handed to an engine through set_observers
   // alone (e.g. via apps::NetOptions::observer, where the engine is built
   // deep inside an application) binds to the graph on the first run — and
   // re-binds when a new engine on a different graph picks it up.

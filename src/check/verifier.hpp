@@ -34,8 +34,8 @@ class Verifier final : public net::EngineObserver {
  public:
   Verifier() = default;
 
-  /// Start observing `engine` (replaces any previous attachment). The
-  /// verifier must outlive every run of the engine.
+  /// Start observing `engine` as its only observer (replaces the engine's
+  /// observer list). The verifier must outlive every run of the engine.
   void attach(net::Engine& engine);
   void detach();
 

@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "src/net/reliable.hpp"
-#include "src/net/trace.hpp"
 #include "src/net/violation.hpp"
 
 namespace qcongest::net {
@@ -33,6 +32,11 @@ void Engine::track_cut(std::vector<bool> side) {
     throw std::invalid_argument("track_cut: one side bit per node required");
   }
   cut_side_ = std::move(side);
+}
+
+void Engine::set_observers(std::vector<EngineObserver*> observers) {
+  std::erase(observers, nullptr);
+  observers_ = std::move(observers);
 }
 
 void Engine::set_fault_plan(FaultPlan plan) {
@@ -199,7 +203,7 @@ void Engine::deliver(NodeId from, NodeId to, Word word) {
     // Shard path: admission (bandwidth enforcement) happens here in the
     // sender's shard — each directed edge's budget is touched only by its
     // own sender, so this is race-free — while everything observable
-    // (stats, trace, observer, fault lottery, inbox push) waits for the
+    // (stats, observer callbacks, fault lottery, inbox push) waits for the
     // canonical-order merge on the engine thread. Each shard buffer is
     // touched only by the one worker executing that shard.
     std::size_t slot = admit(from, to);
@@ -210,101 +214,65 @@ void Engine::deliver(NodeId from, NodeId to, Word word) {
   if (from != current_sender_) {
     throw std::logic_error("Engine: context used outside its node's turn");
   }
-  std::size_t slot = admit(from, to);
-  const std::size_t edge_words = sent_this_round_[slot];
-  if (fast_path_) {
-    // Serial no-fault, no-observer shape (the benchmark steady state): the
-    // full commit bookkeeping collapses to counters plus the inbox append.
-    if (edge_words > stats_.max_edge_words) stats_.max_edge_words = edge_words;
-    ++stats_.messages;
-    if (word.quantum) {
-      ++stats_.quantum_words;
-    } else {
-      ++stats_.classical_words;
-    }
-    if (contexts_[to].halted_) {
-      throw std::logic_error("Engine: message delivered to a halted node");
-    }
-    enqueue_delivery(to, Message{from, word});
-    delivered_any_ = true;
-    return;
-  }
-  commit(from, to, word, slot, edge_words);
+  const std::size_t slot = admit(from, to);
+  commit(from, to, word, slot, sent_this_round_[slot]);
 }
 
 void Engine::commit(NodeId from, NodeId to, const Word& word, std::size_t slot,
                     std::size_t edge_words) {
   stats_.max_edge_words = std::max(stats_.max_edge_words, edge_words);
   if (!cut_side_.empty() && cut_side_[from] != cut_side_[to]) ++stats_.cut_words;
-  if (trace_ != nullptr) {
-    trace_->record(TraceEvent{current_pass_, from, to, word.tag, word.quantum});
-  }
   ++stats_.messages;
   if (word.quantum) {
     ++stats_.quantum_words;
   } else {
     ++stats_.classical_words;
   }
-  if (observer_ != nullptr) {
-    observer_->on_send(current_pass_, from, to, word, edge_words);
+  for (EngineObserver* o : observers_) {
+    o->on_send(current_pass_, from, to, word, edge_words);
   }
 
-  if (!fault_active_) {
+  // Fault lottery, drawn from the edge's own stream in the fixed order
+  // drop, corrupt, duplicate. Sends are counted above regardless of fate,
+  // so a plan with all-zero rates leaves every counter byte-identical (a
+  // kNever threshold draws nothing from the fault stream).
+  Message delivered{from, word};
+  DeliveryFate fate = DeliveryFate::kDelivered;
+  bool corrupted = false;
+  bool duplicated = false;
+  if (fault_active_) {
+    const EdgeThresholds& th = edge_thresholds_[slot];
+    if (crashed_arrival_[to] != 0) {
+      fate = DeliveryFate::kDroppedCrashed;
+    } else if (fault_lottery_.draw(slot, th.drop)) {
+      fate = DeliveryFate::kDroppedLottery;
+    } else {
+      if (fault_lottery_.draw(slot, th.corrupt)) {
+        corrupt_payload(delivered.word, fault_lottery_.draw_raw(slot));
+        ++stats_.corrupted_words;
+        corrupted = true;
+      }
+      if (fault_lottery_.draw(slot, th.duplicate)) {
+        ++stats_.duplicated_words;
+        duplicated = true;
+      }
+    }
+  }
+  if (fate == DeliveryFate::kDelivered) {
     if (contexts_[to].halted_) {
       throw std::logic_error("Engine: message delivered to a halted node");
     }
-    enqueue_delivery(to, Message{from, word});
-    delivered_any_ = true;
-    if (observer_ != nullptr) {
-      observer_->on_delivery(current_pass_, from, to, DeliveryFate::kDelivered,
-                             /*corrupted=*/false, /*duplicated=*/false);
-    }
-    return;
-  }
-
-  // Fault lottery. Sends are counted above regardless of fate, so a plan
-  // with all-zero rates leaves every legacy counter byte-identical (a
-  // kNever threshold draws nothing from the fault stream).
-  if (crashed_arrival_[to] != 0) {
-    ++stats_.dropped_words;
-    if (observer_ != nullptr) {
-      observer_->on_delivery(current_pass_, from, to, DeliveryFate::kDroppedCrashed,
-                             false, false);
-    }
-    return;
-  }
-  const EdgeThresholds& th = edge_thresholds_[slot];
-  if (fault_lottery_.draw(slot, th.drop)) {
-    ++stats_.dropped_words;
-    if (observer_ != nullptr) {
-      observer_->on_delivery(current_pass_, from, to, DeliveryFate::kDroppedLottery,
-                             false, false);
-    }
-    return;
-  }
-  Word delivered = word;
-  bool corrupted = false;
-  if (fault_lottery_.draw(slot, th.corrupt)) {
-    corrupt_payload(delivered, fault_lottery_.draw_raw(slot));
-    ++stats_.corrupted_words;
-    corrupted = true;
-  }
-  if (contexts_[to].halted_) {
-    throw std::logic_error("Engine: message delivered to a halted node");
-  }
-  enqueue_delivery(to, Message{from, delivered});
-  delivered_any_ = true;
-  bool duplicated = false;
-  if (fault_lottery_.draw(slot, th.duplicate)) {
     // The network, not the sender, duplicates: the extra copy is charged to
     // no edge budget and appears only in duplicated_words.
-    enqueue_delivery(to, Message{from, delivered});
-    ++stats_.duplicated_words;
-    duplicated = true;
+    for (int copies = duplicated ? 2 : 1; copies > 0; --copies) {
+      enqueue_delivery(to, delivered);
+    }
+    delivered_any_ = true;
+  } else {
+    ++stats_.dropped_words;
   }
-  if (observer_ != nullptr) {
-    observer_->on_delivery(current_pass_, from, to, DeliveryFate::kDelivered,
-                           corrupted, duplicated);
+  for (EngineObserver* o : observers_) {
+    o->on_delivery(current_pass_, from, to, fate, corrupted, duplicated);
   }
 }
 
@@ -382,11 +350,7 @@ RunResult Engine::run_direct(std::span<const std::unique_ptr<NodeProgram>> progr
   delivered_any_ = false;
   parallel_pass_ = false;
   keep_alive_pending_ = false;
-  // Frozen per run: nothing a program can reach through its Context mutates
-  // the observer, trace, cut, or fault plan mid-run.
-  fast_path_ = !fault_active_ && observer_ == nullptr && trace_ == nullptr &&
-               cut_side_.empty();
-  if (observer_ != nullptr) observer_->on_run_begin(*this);
+  for (EngineObserver* o : observers_) o->on_run_begin(*this);
   if (recovery_.enabled && recovery_.checkpoint.at_phase_start) {
     write_checkpoints(programs, /*rounds_done=*/0);
   }
@@ -436,7 +400,7 @@ RunResult Engine::run_direct(std::span<const std::unique_ptr<NodeProgram>> progr
         !keep_alive_pending_ && !(fault_active_ && restart_pending(round))) {
       stats_.rounds = last_send_pass;
       stats_.completed = true;
-      if (observer_ != nullptr) observer_->on_run_end(stats_);
+      for (EngineObserver* o : observers_) o->on_run_end(stats_);
       return stats_;
     }
 
@@ -485,11 +449,11 @@ RunResult Engine::run_direct(std::span<const std::unique_ptr<NodeProgram>> progr
       ++stats_.recovery_rounds;
       recovery_activity_ = false;
     }
-    if (observer_ != nullptr) observer_->on_round_end(round);
+    for (EngineObserver* o : observers_) o->on_round_end(round);
   }
   stats_.rounds = last_send_pass;
   stats_.completed = false;
-  if (observer_ != nullptr) observer_->on_run_end(stats_);
+  for (EngineObserver* o : observers_) o->on_run_end(stats_);
   return stats_;
 }
 
@@ -530,9 +494,9 @@ void Engine::handle_amnesia_restart(NodeProgram& program, NodeId v, std::size_t 
   amnesia_dead_[v] = 1;
   for (const Message& m : inbox_span(v)) {
     ++stats_.dropped_words;
-    if (observer_ != nullptr) {
-      observer_->on_delivery(round, m.from, v, DeliveryFate::kDroppedCrashed,
-                             /*corrupted=*/false, /*duplicated=*/false);
+    for (EngineObserver* o : observers_) {
+      o->on_delivery(round, m.from, v, DeliveryFate::kDroppedCrashed,
+                     /*corrupted=*/false, /*duplicated=*/false);
     }
   }
   inbox_len_[v] = 0;
@@ -664,7 +628,7 @@ void Engine::run_pass_parallel(std::span<const std::unique_ptr<NodeProgram>> pro
   }
 
   // Canonical-order merge: ascending (sender, send order) is exactly the
-  // serial engine's delivery order, so stats, trace, observer stream, and
+  // serial engine's delivery order, so stats, observer stream, and
   // fault-lottery draws come out byte-identical for any thread count. On a
   // failure, nodes before the smallest offender plus the offender's
   // pre-failure sends are merged first — the same partial state the serial

@@ -32,7 +32,8 @@ enum class DeliveryFate {
 };
 
 /// Passive tap on the engine's scheduling and delivery decisions, the hook
-/// the model-conformance verifier (src/check/verifier.hpp) hangs off.
+/// the trace (src/net/trace.hpp), the round profiler, the liveness watchdog
+/// and the model-conformance verifier (src/check/verifier.hpp) hang off.
 /// Observers must not mutate the engine or send messages; they see every
 /// admitted word, its fate, every retransmission note, and round/run
 /// boundaries — enough to re-derive all of RunResult independently and
@@ -41,7 +42,8 @@ enum class DeliveryFate {
 /// Observer callbacks always fire on the engine's own thread in canonical
 /// delivery order — ascending (sender, send order) within a round — even
 /// when the round itself was executed by parallel shards (see
-/// Engine::set_threads), so an observer never needs locks.
+/// Engine::set_threads), so an observer never needs locks. Each event goes
+/// to the installed observers in list order (Engine::set_observers).
 class EngineObserver {
  public:
   virtual ~EngineObserver() = default;
@@ -298,15 +300,18 @@ class Engine {
   /// arguments. Pass an empty vector to stop tracking.
   void track_cut(std::vector<bool> side);
 
-  /// Record every delivery of subsequent runs into `trace` (nullptr stops).
-  /// The trace is never cleared by the engine; phases accumulate.
-  void set_trace(class Trace* trace) { trace_ = trace; }
+  /// Install the passive observers of subsequent runs, replacing the whole
+  /// previous list (null entries are skipped; an empty list detaches all).
+  /// Every event goes to the observers in list order, so an observer that
+  /// throws (recover::Watchdog) belongs last: the ones before it have seen
+  /// the event it gives up on. Each must outlive every subsequent run.
+  void set_observers(std::vector<EngineObserver*> observers);
 
   /// Install a deterministic fault schedule consulted on every delivery of
   /// every subsequent run. The plan is validated against the graph. An
   /// inactive plan (all-zero rates, no crashes) is equivalent to
-  /// clear_fault_plan(): the delivery fast path is taken and runs are
-  /// byte-identical to a fault-free engine.
+  /// clear_fault_plan(): no lottery is drawn and runs are byte-identical to
+  /// a fault-free engine.
   ///
   /// The fault lottery draws from an independent RNG stream *per directed
   /// edge* (forked deterministically from the plan seed), so an edge's
@@ -345,7 +350,7 @@ class Engine {
   /// Called by the reliable transport each time it re-sends a frame.
   void note_retransmission() {
     ++stats_.retransmissions;
-    if (observer_ != nullptr) observer_->on_retransmission(current_pass_);
+    for (EngineObserver* o : observers_) o->on_retransmission(current_pass_);
   }
 
   // --- Crash-with-amnesia recovery (src/recover, DESIGN.md §11) ----------
@@ -382,13 +387,6 @@ class Engine {
   /// Flag the current round as spent (in part) on recovery; rounds with the
   /// flag raised are tallied into RunResult::recovery_rounds at pass end.
   void note_recovery_activity() { recovery_activity_ = true; }
-
-  /// Attach a passive observer notified of every admitted send, delivery
-  /// fate, retransmission, and round/run boundary (nullptr detaches). The
-  /// observer must outlive every subsequent run. One observer per engine;
-  /// src/check/Verifier is the intended client.
-  void set_observer(EngineObserver* observer) { observer_ = observer; }
-  EngineObserver* observer() const { return observer_; }
 
  private:
   friend class Context;
@@ -453,7 +451,7 @@ class Engine {
   /// the count including this word. Safe to call from the sender's shard —
   /// a directed edge's budget is only ever touched by its own sender.
   std::size_t admit(NodeId from, NodeId to);
-  /// Everything after admission: stats, cut tracking, trace, observer,
+  /// Everything after admission: stats, cut tracking, observer callbacks,
   /// fault lottery, and the inbox push. Engine thread only.
   void commit(NodeId from, NodeId to, const Word& word, std::size_t slot,
               std::size_t edge_words);
@@ -554,13 +552,11 @@ class Engine {
   std::vector<std::size_t> sent_this_round_;  // indexed by directed edge slot
   std::vector<std::size_t> edge_slot_offset_;
   std::vector<bool> cut_side_;  // empty when no cut is tracked
-  class Trace* trace_ = nullptr;
-  EngineObserver* observer_ = nullptr;
+  std::vector<EngineObserver*> observers_;  // callback order, no nulls
   RunResult stats_;
   NodeId current_sender_ = 0;
   std::size_t current_pass_ = 0;
   bool parallel_pass_ = false;   // sends buffer to outboxes instead of committing
-  bool fast_path_ = false;       // no fault/observer/trace/cut this run
   bool delivered_any_ = false;   // something was delivered for the next pass
   bool keep_alive_pending_ = false;
 };

@@ -50,7 +50,7 @@ struct CrashEvent {
 /// identical (plan, engine seed, programs) triples reproduce bit-identical
 /// RunResults including every fault counter. A plan whose rates are all zero
 /// and whose crash list is empty is exactly the perfect network: the engine
-/// takes the unfaulted fast path and all counters stay zero.
+/// draws no lottery and all counters stay zero.
 struct FaultPlan {
   /// Default rates applied to every directed edge.
   FaultRates link;

@@ -4,6 +4,12 @@
 
 namespace qcongest::net {
 
+void Trace::on_send(std::size_t round, NodeId from, NodeId to, const Word& word,
+                    std::size_t edge_words) {
+  (void)edge_words;
+  record(TraceEvent{round, from, to, word.tag, word.quantum});
+}
+
 std::vector<std::size_t> Trace::per_round_counts() const {
   std::size_t max_round = 0;
   for (const TraceEvent& e : events_) max_round = std::max(max_round, e.round);

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "src/net/engine.hpp"
 #include "src/net/graph.hpp"
 
 namespace qcongest::net {
@@ -18,12 +19,17 @@ struct TraceEvent {
   bool quantum = false;
 };
 
-/// Message-level execution trace for observability and debugging. Attach to
-/// an Engine with Engine::set_trace; every send is recorded with its round.
-class Trace {
+/// Message-level execution trace for observability and debugging: an
+/// EngineObserver that records every admitted send with its round. Install
+/// it with Engine::set_observers; the engine never clears it, so the runs
+/// of a multi-phase protocol accumulate.
+class Trace final : public EngineObserver {
  public:
   void clear() { events_.clear(); }
   void record(const TraceEvent& event) { events_.push_back(event); }
+
+  void on_send(std::size_t round, NodeId from, NodeId to, const Word& word,
+               std::size_t edge_words) override;
 
   const std::vector<TraceEvent>& events() const { return events_; }
   std::size_t size() const { return events_.size(); }

@@ -43,6 +43,7 @@ void RoundProfiler::reset() {
 }
 
 void RoundProfiler::on_run_begin(const net::Engine& engine) {
+  (void)engine;
   run_base_ = rounds_.size();
   if (!span_open_) {
     begin_phase("run#" + std::to_string(runs_));
@@ -50,21 +51,21 @@ void RoundProfiler::on_run_begin(const net::Engine& engine) {
   }
   ++runs_;
   ++phases_.back().runs;
-  if (downstream_ != nullptr) downstream_->on_run_begin(engine);
 }
 
 void RoundProfiler::on_send(std::size_t round, net::NodeId from, net::NodeId to,
                             const net::Word& word, std::size_t edge_words) {
+  (void)from, (void)to, (void)edge_words;
   RoundSample& s = sample(round);
   ++s.sent;
   if (word.quantum) ++s.quantum_words;
   if (PhaseSpan* span = open_span()) ++span->sent;
-  if (downstream_ != nullptr) downstream_->on_send(round, from, to, word, edge_words);
 }
 
 void RoundProfiler::on_delivery(std::size_t round, net::NodeId from, net::NodeId to,
                                 net::DeliveryFate fate, bool corrupted,
                                 bool duplicated) {
+  (void)from, (void)to;
   RoundSample& s = sample(round);
   if (fate == net::DeliveryFate::kDelivered) {
     ++s.delivered;
@@ -75,15 +76,11 @@ void RoundProfiler::on_delivery(std::size_t round, net::NodeId from, net::NodeId
     ++s.dropped;
     if (PhaseSpan* span = open_span()) ++span->dropped;
   }
-  if (downstream_ != nullptr) {
-    downstream_->on_delivery(round, from, to, fate, corrupted, duplicated);
-  }
 }
 
 void RoundProfiler::on_retransmission(std::size_t round) {
   ++sample(round).retransmissions;
   if (PhaseSpan* span = open_span()) ++span->retransmissions;
-  if (downstream_ != nullptr) downstream_->on_retransmission(round);
 }
 
 void RoundProfiler::on_round_end(std::size_t round) {
@@ -91,12 +88,11 @@ void RoundProfiler::on_round_end(std::size_t round) {
   if (PhaseSpan* span = open_span()) {
     span->rounds = rounds_.size() - span->first_round;
   }
-  if (downstream_ != nullptr) downstream_->on_round_end(round);
 }
 
 void RoundProfiler::on_run_end(const net::RunResult& stats) {
+  (void)stats;
   if (span_open_ && span_auto_) close_span();
-  if (downstream_ != nullptr) downstream_->on_run_end(stats);
 }
 
 }  // namespace qcongest::obs

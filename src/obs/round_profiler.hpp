@@ -53,11 +53,6 @@ class RoundProfiler final : public net::EngineObserver {
     std::size_t retransmissions = 0;
   };
 
-  /// Forward every callback to `downstream` after recording (nullptr
-  /// stops). Lets the profiler stack with another observer — e.g. the
-  /// model-conformance verifier — on the engine's single observer slot.
-  void set_downstream(net::EngineObserver* downstream) { downstream_ = downstream; }
-
   /// Open a named phase span (closing any span still open). Subsequent
   /// runs/rounds accumulate into it until end_phase.
   void begin_phase(const std::string& name);
@@ -69,7 +64,7 @@ class RoundProfiler final : public net::EngineObserver {
   std::size_t total_runs() const { return runs_; }
   std::size_t total_rounds() const { return rounds_.size(); }
 
-  /// Forget everything (series, spans, run count); downstream is kept.
+  /// Forget everything (series, spans, run count).
   void reset();
 
   // --- EngineObserver -------------------------------------------------------
@@ -93,7 +88,6 @@ class RoundProfiler final : public net::EngineObserver {
   std::size_t runs_ = 0;
   bool span_open_ = false;
   bool span_auto_ = false;     // the open span is an automatic per-run span
-  net::EngineObserver* downstream_ = nullptr;
 };
 
 }  // namespace qcongest::obs

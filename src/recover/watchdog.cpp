@@ -49,19 +49,20 @@ std::string Diagnosis::to_string() const {
 }
 
 void Watchdog::on_run_begin(const net::Engine& engine) {
+  (void)engine;
   last_traffic_round_ = 0;
   suspects_.clear();
-  if (downstream_ != nullptr) downstream_->on_run_begin(engine);
 }
 
 void Watchdog::on_send(std::size_t round, net::NodeId from, net::NodeId to,
                        const net::Word& word, std::size_t edge_words) {
+  (void)from, (void)to, (void)word, (void)edge_words;
   last_traffic_round_ = round;
-  if (downstream_ != nullptr) downstream_->on_send(round, from, to, word, edge_words);
 }
 
 void Watchdog::on_delivery(std::size_t round, net::NodeId from, net::NodeId to,
                            net::DeliveryFate fate, bool corrupted, bool duplicated) {
+  (void)from, (void)corrupted, (void)duplicated;
   last_traffic_round_ = round;
   auto it = std::lower_bound(
       suspects_.begin(), suspects_.end(), to,
@@ -74,13 +75,6 @@ void Watchdog::on_delivery(std::size_t round, net::NodeId from, net::NodeId to,
       suspects_.insert(it, {to, round});
     }
   }
-  if (downstream_ != nullptr) {
-    downstream_->on_delivery(round, from, to, fate, corrupted, duplicated);
-  }
-}
-
-void Watchdog::on_retransmission(std::size_t round) {
-  if (downstream_ != nullptr) downstream_->on_retransmission(round);
 }
 
 std::vector<net::NodeId> Watchdog::suspect_nodes() const {
@@ -91,7 +85,6 @@ std::vector<net::NodeId> Watchdog::suspect_nodes() const {
 }
 
 void Watchdog::on_round_end(std::size_t round) {
-  if (downstream_ != nullptr) downstream_->on_round_end(round);
   if (config_.deadline_rounds > 0 && round + 1 >= config_.deadline_rounds) {
     throw LivelockError(LivelockError::Kind::kDeadlineExceeded, round,
                         suspect_nodes());
@@ -113,10 +106,6 @@ void Watchdog::on_round_end(std::size_t round) {
       round - last_traffic_round_ >= config_.stall_rounds) {
     throw LivelockError(LivelockError::Kind::kQuiescentSpin, round, suspect_nodes());
   }
-}
-
-void Watchdog::on_run_end(const net::RunResult& stats) {
-  if (downstream_ != nullptr) downstream_->on_run_end(stats);
 }
 
 }  // namespace qcongest::recover

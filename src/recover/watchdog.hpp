@@ -100,9 +100,10 @@ struct WatchdogConfig {
 /// distant nodes keep polling the dead node's stalled-but-live neighbors,
 /// and those polls deliver fine, forever.
 ///
-/// Chains like RoundProfiler: set_downstream forwards every callback, so
-/// NetOptions can stack metrics -> watchdog -> verifier on the engine's
-/// single observer slot. All state is derived from callback order alone.
+/// Install it last in the engine's observer list (Engine::set_observers;
+/// NetOptions::configure does): it throws from on_round_end, and the
+/// observers before it have then seen the round it gives up on. All state
+/// is derived from callback order alone.
 class Watchdog : public net::EngineObserver {
  public:
   Watchdog() = default;
@@ -111,24 +112,16 @@ class Watchdog : public net::EngineObserver {
   void set_config(WatchdogConfig config) { config_ = config; }
   const WatchdogConfig& config() const { return config_; }
 
-  /// Forward every callback to `downstream` (nullptr detaches). The
-  /// downstream observer must outlive every subsequent run.
-  void set_downstream(net::EngineObserver* downstream) { downstream_ = downstream; }
-
   void on_run_begin(const net::Engine& engine) override;
   void on_send(std::size_t round, net::NodeId from, net::NodeId to,
                const net::Word& word, std::size_t edge_words) override;
   void on_delivery(std::size_t round, net::NodeId from, net::NodeId to,
                    net::DeliveryFate fate, bool corrupted, bool duplicated) override;
-  void on_retransmission(std::size_t round) override;
-  /// Throws LivelockError when a liveness rule trips (after forwarding the
-  /// callback downstream, so chained observers see a consistent prefix).
+  /// Throws LivelockError when a liveness rule trips.
   void on_round_end(std::size_t round) override;
-  void on_run_end(const net::RunResult& stats) override;
 
  private:
   WatchdogConfig config_;
-  net::EngineObserver* downstream_ = nullptr;
 
   // Per-run state, reset in on_run_begin.
   std::size_t last_traffic_round_ = 0;

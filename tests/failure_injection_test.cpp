@@ -6,6 +6,7 @@
 
 #include <memory>
 
+#include "src/apps/net_options.hpp"
 #include "src/net/bfs.hpp"
 #include "src/net/engine.hpp"
 #include "src/net/fault.hpp"
@@ -156,7 +157,7 @@ MatrixRun run_election(const FaultPlan& plan, bool recovery_enabled,
     recovery.checkpoint.every_rounds = 3;
     engine.set_recovery(recovery);
   }
-  if (watchdog != nullptr) engine.set_observer(watchdog);
+  engine.set_observers({watchdog});
   MatrixRun run;
   auto election = elect_leader(engine);
   run.leader = election.leader;
@@ -217,6 +218,41 @@ TEST(AmnesiaMatrix, NeverRestartingCrashIsDiagnosedNotHung) {
     EXPECT_GE(e.round(), 96u);  // the stall clock ran after the last delivery
     EXPECT_EQ(e.suspects(), (std::vector<NodeId>{3}));
     EXPECT_NE(std::string(e.what()).find("suspected dead: 3"), std::string::npos);
+  }
+}
+
+TEST(AmnesiaMatrix, WatchdogThrowsAfterEveryOtherTap) {
+  // NetOptions puts the watchdog last on the observer list, so the round it
+  // gives up on has reached the metrics tap and the observer before the
+  // throw: every report of the aborted run ends on the error's round.
+  class LastRoundEnd final : public EngineObserver {
+   public:
+    std::size_t round = 0;
+    void on_round_end(std::size_t r) override { round = r; }
+  };
+  recover::Watchdog watchdog(recover::WatchdogConfig{/*stall_rounds=*/96,
+                                                     /*deadline_rounds=*/0});
+  obs::RoundProfiler profiler;
+  LastRoundEnd recorder;
+  apps::NetOptions options;
+  options.transport = Transport::kReliable;
+  options.fault_plan.crashes.push_back(CrashEvent{3, 12, CrashEvent::kNeverRestarts});
+  options.metrics = &profiler;
+  options.observer = &recorder;
+  options.watchdog = &watchdog;
+  util::Rng topo(41);
+  Graph g = random_connected_graph(9, 5, topo);
+  Engine engine(g, 1, 37);
+  options.configure(engine);
+  try {
+    (void)elect_leader(engine);
+    FAIL() << "expected LivelockError";
+  } catch (const recover::LivelockError& e) {
+    EXPECT_EQ(recorder.round, e.round());
+    // The aborted run's automatic span starts at its round 0 and stays open;
+    // its length stops at the last on_round_end the profiler heard.
+    ASSERT_FALSE(profiler.phases().empty());
+    EXPECT_EQ(profiler.phases().back().rounds, e.round() + 1);
   }
 }
 

@@ -231,7 +231,7 @@ TEST(RoundProfiler, SeriesMatchesEngineAccounting) {
   net::Graph g = net::path_graph(6);
   net::Engine engine(g);
   RoundProfiler profiler;
-  engine.set_observer(&profiler);
+  engine.set_observers({&profiler});
   net::BfsTree tree = net::build_bfs_tree(engine, 0);
 
   std::size_t sent = 0, delivered = 0;
@@ -252,7 +252,7 @@ TEST(RoundProfiler, ExplicitPhasesSliceTheTimeline) {
   net::Graph g = net::path_graph(4);
   net::Engine engine(g);
   RoundProfiler profiler;
-  engine.set_observer(&profiler);
+  engine.set_observers({&profiler});
   net::BfsTree tree = net::build_bfs_tree(engine, 0);
   profiler.reset();
 
@@ -280,32 +280,52 @@ TEST(RoundProfiler, SeriesAreThreadCountInvariant) {
     net::Engine engine(g);
     engine.set_threads(threads);
     RoundProfiler profiler;
-    engine.set_observer(&profiler);
+    engine.set_observers({&profiler});
     (void)net::build_bfs_tree(engine, 0);
     return profiler.rounds();
   };
   EXPECT_EQ(run(1), run(4));
 }
 
-TEST(RoundProfiler, ForwardsToDownstreamObserver) {
+TEST(RoundProfiler, StacksWithAnotherObserverInListOrder) {
+  // Both observers on one engine see the whole stream, in list order: a tap
+  // installed after the profiler hears of each word once the profiler has
+  // counted it, and one installed before hears of it first.
   class Counter final : public net::EngineObserver {
    public:
-    std::size_t sends = 0, runs = 0;
+    explicit Counter(const RoundProfiler& profiler) : profiler_(profiler) {}
+    std::size_t sends = 0, runs = 0, profiled_before = 0;
     void on_send(std::size_t, net::NodeId, net::NodeId, const net::Word&,
                  std::size_t) override {
       ++sends;
+      std::size_t profiled = 0;
+      for (const RoundProfiler::RoundSample& s : profiler_.rounds()) profiled += s.sent;
+      if (profiled == sends) ++profiled_before;
     }
     void on_run_end(const net::RunResult&) override { ++runs; }
+
+   private:
+    const RoundProfiler& profiler_;
   };
   net::Graph g = net::path_graph(3);
   net::Engine engine(g);
   RoundProfiler profiler;
-  Counter downstream;
-  profiler.set_downstream(&downstream);
-  engine.set_observer(&profiler);
+  Counter after(profiler);
+  engine.set_observers({&profiler, &after});
   net::BfsTree tree = net::build_bfs_tree(engine, 0);
-  EXPECT_EQ(downstream.sends, tree.cost.messages);
-  EXPECT_EQ(downstream.runs, 1u);
+  EXPECT_EQ(after.sends, tree.cost.messages);
+  EXPECT_EQ(after.runs, 1u);
+  EXPECT_EQ(after.profiled_before, after.sends);
+  EXPECT_EQ(profiler.total_runs(), 1u);
+
+  RoundProfiler second;
+  Counter before(second);
+  engine.set_observers({&before, &second});  // replaces the whole list
+  (void)net::build_bfs_tree(engine, 0);
+  EXPECT_EQ(before.sends, tree.cost.messages);
+  EXPECT_EQ(before.profiled_before, 0u);
+  EXPECT_EQ(after.runs, 1u);
+  EXPECT_EQ(profiler.total_runs(), 1u);
 }
 
 // --- RunReport -------------------------------------------------------------
@@ -315,8 +335,7 @@ RunReport make_report() {
   net::Engine engine(g);
   net::Trace trace;
   RoundProfiler profiler;
-  engine.set_trace(&trace);
-  engine.set_observer(&profiler);
+  engine.set_observers({&trace, &profiler});
   net::BfsTree tree = net::build_bfs_tree(engine, 0);
 
   RunReport report("obs_test");

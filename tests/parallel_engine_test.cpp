@@ -90,6 +90,33 @@ std::string render(const net::Trace& trace) {
   return s;
 }
 
+/// A second tap behind the trace: appends every callback it hears, so the
+/// transcript pins the whole stream each observer on the list sees.
+class CallbackLog final : public net::EngineObserver {
+ public:
+  std::string text;
+
+  void on_send(std::size_t round, net::NodeId from, net::NodeId to,
+               const net::Word& word, std::size_t edge_words) override {
+    text += "send " + std::to_string(round) + ' ' + std::to_string(from) + ' ' +
+            std::to_string(to) + ' ' + std::to_string(word.tag) + " edge_words=" +
+            std::to_string(edge_words) + '\n';
+  }
+  void on_delivery(std::size_t round, net::NodeId from, net::NodeId to,
+                   net::DeliveryFate fate, bool corrupted, bool duplicated) override {
+    text += "fate " + std::to_string(round) + ' ' + std::to_string(from) + ' ' +
+            std::to_string(to) + ' ' + std::to_string(static_cast<int>(fate)) + ' ' +
+            (corrupted ? 'c' : '-') + (duplicated ? 'd' : '-') + '\n';
+  }
+  void on_round_end(std::size_t round) override {
+    text += "round_end " + std::to_string(round) + '\n';
+  }
+  void on_run_end(const net::RunResult& stats) override {
+    text += "run_end rounds=" + std::to_string(stats.rounds) +
+            " messages=" + std::to_string(stats.messages) + '\n';
+  }
+};
+
 /// BFS-tree construction followed by a pipelined downcast — flood plus
 /// pipeline traffic, the two scheduling patterns with the most inter-node
 /// ordering to get wrong.
@@ -99,7 +126,8 @@ WorkloadRun run_workload(const net::Graph& g, std::size_t threads,
   engine.set_threads(threads);
   if (plan != nullptr) engine.set_fault_plan(*plan);
   net::Trace trace;
-  engine.set_trace(&trace);
+  CallbackLog log;
+  engine.set_observers({&trace, &log});
 
   WorkloadRun out;
   try {
@@ -114,7 +142,7 @@ WorkloadRun run_workload(const net::Graph& g, std::size_t threads,
     // same way at the same point.
     out.transcript = std::string("exception: ") + e.what() + '\n';
   }
-  out.transcript += render(trace);
+  out.transcript += render(trace) + log.text;
   return out;
 }
 
@@ -182,7 +210,7 @@ TEST(ParallelEngine, ReliableTransportStaysSerial) {
     engine.set_threads(threads);
     EXPECT_EQ(engine.threads(), threads);
     net::Trace trace;
-    engine.set_trace(&trace);
+    engine.set_observers({&trace});
     net::BfsTree tree = net::build_bfs_tree(engine, 0);
     return render(trace) + " rounds=" + std::to_string(tree.cost.rounds);
   };

@@ -14,7 +14,7 @@ TEST(Trace, RecordsEveryDelivery) {
   Graph g = path_graph(5);
   Engine engine(g);
   Trace trace;
-  engine.set_trace(&trace);
+  engine.set_observers({&trace});
   BfsTree tree = build_bfs_tree(engine, 0);
   EXPECT_EQ(trace.size(), tree.cost.messages);
   // Rounds in the trace are consistent with the measured round count.
@@ -28,7 +28,7 @@ TEST(Trace, PerRoundCountsSumToTotal) {
   Graph g = star_graph(8);
   Engine engine(g);
   Trace trace;
-  engine.set_trace(&trace);
+  engine.set_observers({&trace});
   BfsTree tree = build_bfs_tree(engine, 0);
   auto down = pipelined_downcast(engine, tree, {1, 2, 3, 4}, true);
   std::size_t total = 0;
@@ -41,7 +41,7 @@ TEST(Trace, BusiestEdgesAndTags) {
   Graph g = path_graph(4);
   Engine engine(g);
   Trace trace;
-  engine.set_trace(&trace);
+  engine.set_observers({&trace});
   BfsTree tree = build_bfs_tree(engine, 0);
   trace.clear();
   (void)pipelined_downcast(engine, tree, {1, 2, 3, 4, 5}, false);
@@ -57,23 +57,27 @@ TEST(Trace, TimelineRenders) {
   Graph g = path_graph(3);
   Engine engine(g);
   Trace trace;
-  engine.set_trace(&trace);
+  engine.set_observers({&trace});
   (void)build_bfs_tree(engine, 0);
   std::string timeline = trace.render_timeline(20);
   EXPECT_NE(timeline.find("r0 |"), std::string::npos);
   EXPECT_NE(timeline.find('#'), std::string::npos);
   // Detaching stops recording.
-  engine.set_trace(nullptr);
+  engine.set_observers({});
   std::size_t before = trace.size();
   (void)build_bfs_tree(engine, 0);
   EXPECT_EQ(trace.size(), before);
+  // Null entries are skipped: the trace behind one records again.
+  engine.set_observers({nullptr, &trace});
+  BfsTree again = build_bfs_tree(engine, 0);
+  EXPECT_EQ(trace.size(), before + again.cost.messages);
 }
 
 TEST(Trace, EdgeTotalsFeedDotExport) {
   Graph g = path_graph(3);
   Engine engine(g);
   Trace trace;
-  engine.set_trace(&trace);
+  engine.set_observers({&trace});
   BfsTree tree = build_bfs_tree(engine, 0);
   (void)pipelined_downcast(engine, tree, {1, 2}, false);
   auto totals = trace.edge_totals();
