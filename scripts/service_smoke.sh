@@ -14,7 +14,8 @@
 # Along the way the run mixes clean jobs, fault-heavy jobs, crash-schedule
 # jobs, malformed specs, and raw protocol garbage, so the exception- and
 # connection-isolation stories are exercised too, then asks the daemon to
-# shut down cleanly and checks it obliged.
+# shut down cleanly and checks it obliged — once with a shutdown frame, and
+# once more on a fresh daemon with SIGTERM.
 #
 # Usage: scripts/service_smoke.sh [build_dir]
 set -euo pipefail
@@ -100,6 +101,43 @@ echo "== server log =="
 cat "${SERVER_LOG}"
 grep -q "shut down cleanly" "${SERVER_LOG}" || {
   echo "service-smoke: no clean-shutdown line in the log"; fail=1; }
+
+echo "== SIGTERM: the signal handler stops a fresh daemon cleanly =="
+# The lanes above stop the daemon with a shutdown frame; an operator (or an
+# init system) stops it with SIGTERM, which goes through the signal handler
+# and Server::request_stop instead.
+TERM_PORT_FILE="${WORK_DIR}/term-port"
+TERM_LOG="${WORK_DIR}/qcongestd-term.log"
+"${QCONGESTD}" --port 0 --workers 1 --port-file "${TERM_PORT_FILE}" \
+  > "${TERM_LOG}" 2>&1 &
+SERVER_PID=$!
+for _ in $(seq 1 50); do
+  [[ -s "${TERM_PORT_FILE}" ]] && break
+  sleep 0.1
+done
+if [[ ! -s "${TERM_PORT_FILE}" ]]; then
+  echo "service-smoke: SIGTERM daemon never bound a port"
+  fail=1
+else
+  kill -TERM "${SERVER_PID}"
+  for _ in $(seq 1 100); do
+    kill -0 "${SERVER_PID}" 2>/dev/null || break
+    sleep 0.1
+  done
+  if kill -0 "${SERVER_PID}" 2>/dev/null; then
+    echo "service-smoke: server ignored SIGTERM"
+    fail=1
+  else
+    term_rc=0
+    wait "${SERVER_PID}" || term_rc=$?
+    SERVER_PID=""
+    [[ "${term_rc}" -eq 0 ]] || {
+      echo "service-smoke: server exited ${term_rc} on SIGTERM"; fail=1; }
+  fi
+fi
+cat "${TERM_LOG}"
+grep -q "shut down cleanly" "${TERM_LOG}" || {
+  echo "service-smoke: no clean-shutdown line after SIGTERM"; fail=1; }
 
 if [[ "${fail}" -ne 0 ]]; then
   echo "service-smoke: FAIL"

@@ -29,7 +29,6 @@ struct NetOptions {
   /// (src/net/reliable.hpp) — required for correctness under an active
   /// fault plan unless the app brings its own recovery.
   net::Transport transport = net::Transport::kDirect;
-  net::ReliableParams reliable_params;
   /// When non-null, every send of every run is recorded here — the
   /// determinism auditor in tools/chaos_run diffs two such recordings
   /// byte-for-byte. Must outlive every run of the configured engine.
@@ -66,7 +65,7 @@ struct NetOptions {
   void configure(net::Engine& engine) const {
     engine.track_cut(tracked_cut);
     if (fault_plan.active()) engine.set_fault_plan(fault_plan);
-    engine.set_transport(transport, reliable_params);
+    engine.set_transport(transport);
     engine.set_recovery(recovery);
     engine.set_observers({trace, metrics, observer, watchdog});
     engine.set_threads(threads);

@@ -1253,10 +1253,6 @@ LintResult lint_trees(const std::vector<std::string>& roots,
   return result;
 }
 
-LintResult lint_tree(const std::string& root, const LintConfig& config) {
-  return lint_trees({root}, config);
-}
-
 LintConfig load_allowlist(const std::string& path) {
   LintConfig config;
   std::ifstream in(path);

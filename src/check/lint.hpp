@@ -177,9 +177,6 @@ struct LintResult {
 LintResult lint_trees(const std::vector<std::string>& roots,
                       const LintConfig& config = {});
 
-/// Single-root convenience wrapper around lint_trees.
-LintResult lint_tree(const std::string& root, const LintConfig& config = {});
-
 /// Parse an allowlist file: one `rule:path[:needle]  # reason` entry per
 /// line, '#' at line start comments the whole line. An entry without a
 /// trailing reason comment throws std::invalid_argument — every

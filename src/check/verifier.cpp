@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "src/check/quantum_checks.hpp"
+#include "src/net/violation.hpp"
 
 namespace qcongest::check {
 
@@ -50,18 +51,6 @@ void Verifier::bind_graph(const net::Graph& graph) {
   }
 }
 
-void Verifier::attach(net::Engine& engine) {
-  bind_graph(engine.graph());
-  bandwidth_ = engine.bandwidth();
-  run_active_ = false;
-  engine.set_observers({this});
-}
-
-void Verifier::detach() {
-  graph_ = nullptr;
-  run_active_ = false;
-}
-
 std::size_t Verifier::slot(net::NodeId from, net::NodeId to) const {
   const auto& adj = graph_->neighbors(from);
   auto it = std::find(adj.begin(), adj.end(), to);
@@ -73,10 +62,10 @@ std::size_t Verifier::slot(net::NodeId from, net::NodeId to) const {
 }
 
 void Verifier::on_run_begin(const net::Engine& engine) {
-  // Self-initializing: a verifier handed to an engine through set_observers
-  // alone (e.g. via apps::NetOptions::observer, where the engine is built
-  // deep inside an application) binds to the graph on the first run — and
-  // re-binds when a new engine on a different graph picks it up.
+  // Self-initializing: a verifier on an engine's observer list
+  // (Engine::set_observers, or apps::NetOptions::observer where the engine is
+  // built deep inside an application) binds to the graph on the first run —
+  // and re-binds when a new engine on a different graph picks it up.
   if (graph_ != &engine.graph()) bind_graph(engine.graph());
   bandwidth_ = engine.bandwidth();
   edge_words_round_.assign(slot_offset_.empty() ? 0 : slot_offset_.back(), 0);
@@ -208,25 +197,21 @@ void Verifier::on_run_end(const net::RunResult& stats) {
   }
 }
 
-void Verifier::note(const net::CongestViolation& violation) {
-  InvariantKind kind = violation.kind() == net::CongestViolation::Kind::kBandwidthExceeded
-                           ? InvariantKind::kBandwidthPerRound
-                           : InvariantKind::kModelRule;
-  note(Violation{kind, true, violation.round(), true, violation.from(), violation.to(),
-                 violation.what()});
-}
-
 void Verifier::note(Violation violation) { violations_.push_back(std::move(violation)); }
 
-void Verifier::abandon_run() { run_active_ = false; }
+void Verifier::abandon_run(const std::exception& cause) {
+  run_active_ = false;
+  const auto* violation = dynamic_cast<const net::CongestViolation*>(&cause);
+  if (violation == nullptr) return;
+  InvariantKind kind = violation->kind() == net::CongestViolation::Kind::kBandwidthExceeded
+                           ? InvariantKind::kBandwidthPerRound
+                           : InvariantKind::kModelRule;
+  note(Violation{kind, true, violation->round(), true, violation->from(), violation->to(),
+                 violation->what()});
+}
 
 void Verifier::check_state(const quantum::Statevector& state, const std::string& where,
                            double tol) {
-  if (auto v = check_state_norm(state, where, tol)) note(std::move(*v));
-}
-
-void Verifier::check_state(const quantum::SparseStatevector& state,
-                           const std::string& where, double tol) {
   if (auto v = check_state_norm(state, where, tol)) note(std::move(*v));
 }
 
@@ -250,20 +235,6 @@ void Verifier::reset() {
   violations_.clear();
   runs_verified_ = 0;
   run_active_ = false;
-}
-
-net::RunResult VerifiedEngine::run(
-    std::span<const std::unique_ptr<net::NodeProgram>> programs,
-    std::size_t max_rounds) {
-  try {
-    return engine_.run(programs, max_rounds);
-  } catch (const net::CongestViolation& violation) {
-    verifier_.note(violation);
-    verifier_.abandon_run();
-    net::RunResult partial = engine_.last_stats();
-    partial.completed = false;
-    return partial;
-  }
 }
 
 }  // namespace qcongest::check

@@ -1,18 +1,14 @@
 #pragma once
 
-#include <cstdint>
-#include <memory>
-#include <span>
+#include <exception>
 #include <string>
 #include <vector>
 
 #include "src/check/invariant.hpp"
 #include "src/net/engine.hpp"
-#include "src/net/violation.hpp"
 
 namespace qcongest::quantum {
 class Statevector;
-class SparseStatevector;
 class Circuit;
 }  // namespace qcongest::quantum
 
@@ -24,7 +20,10 @@ namespace qcongest::check {
 /// per-edge bandwidth, word conservation through the fault lottery,
 /// counter honesty, and quiescence consistency. Violations are collected
 /// with full provenance (round, edge, numbers) instead of aborting the run;
-/// `ok()` / `report()` give the verdict.
+/// `ok()` / `report()` give the verdict. Install it with
+/// Engine::set_observers (or apps::NetOptions::observer); a caller that
+/// catches a run's exception hands it to abandon_run, which is how the
+/// rules the engine enforces by throwing reach the violation list.
 ///
 /// The same object also fronts the quantum-layer checks (state norm,
 /// circuit unitarity): call check_state / check_circuit at the points a
@@ -33,11 +32,6 @@ namespace qcongest::check {
 class Verifier final : public net::EngineObserver {
  public:
   Verifier() = default;
-
-  /// Start observing `engine` as its only observer (replaces the engine's
-  /// observer list). The verifier must outlive every run of the engine.
-  void attach(net::Engine& engine);
-  void detach();
 
   // --- EngineObserver -----------------------------------------------------
   void on_run_begin(const net::Engine& engine) override;
@@ -49,20 +43,18 @@ class Verifier final : public net::EngineObserver {
   void on_round_end(std::size_t round) override;
   void on_run_end(const net::RunResult& stats) override;
 
-  /// Record a model rule the engine enforced by throwing (bandwidth /
-  /// non-neighbor violations carry their provenance in the exception).
-  void note(const net::CongestViolation& violation);
+  /// Record a violation (the quantum-layer checks and abandon_run land here).
   void note(Violation violation);
 
   /// The current run exited by exception: drop its half-finished tallies so
-  /// the end-of-run cross-checks don't fire spuriously on the next run.
-  void abandon_run();
+  /// the end-of-run cross-checks don't fire spuriously on the next run, and
+  /// record `cause` when it is a model rule the engine enforced by throwing
+  /// (a net::CongestViolation carries its round and edge as provenance).
+  void abandon_run(const std::exception& cause);
 
   // --- Quantum-layer invariants -------------------------------------------
   /// Norm within `tol` of 1 (1e-9 per the simulation contract).
   void check_state(const quantum::Statevector& state, const std::string& where,
-                   double tol = 1e-9);
-  void check_state(const quantum::SparseStatevector& state, const std::string& where,
                    double tol = 1e-9);
   /// Reconstructs the circuit's matrix by simulation (small scale,
   /// <= 10 qubits) and checks unitarity column-by-column.
@@ -104,32 +96,6 @@ class Verifier final : public net::EngineObserver {
 
   std::vector<Violation> violations_;
   std::size_t runs_verified_ = 0;
-};
-
-/// An Engine with the conformance verifier permanently attached. Drop-in
-/// where a protocol would build its own Engine: configure through engine(),
-/// run through run() — engine-thrown CongestViolations are caught, recorded
-/// in the verifier's report with provenance, and surfaced as an incomplete
-/// RunResult instead of unwinding the caller.
-class VerifiedEngine {
- public:
-  explicit VerifiedEngine(const net::Graph& graph, std::size_t bandwidth_words = 1,
-                          std::uint64_t seed = 1)
-      : engine_(graph, bandwidth_words, seed) {
-    verifier_.attach(engine_);
-  }
-
-  net::Engine& engine() { return engine_; }
-  const net::Engine& engine() const { return engine_; }
-  Verifier& verifier() { return verifier_; }
-  const Verifier& verifier() const { return verifier_; }
-
-  net::RunResult run(std::span<const std::unique_ptr<net::NodeProgram>> programs,
-                     std::size_t max_rounds);
-
- private:
-  net::Engine engine_;
-  Verifier verifier_;
 };
 
 }  // namespace qcongest::check

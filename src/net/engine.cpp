@@ -111,19 +111,6 @@ void Engine::set_fault_plan(FaultPlan plan) {
   fault_lottery_.reset(fault_plan_.seed, edge_slot_offset_[n]);
 }
 
-void Engine::clear_fault_plan() {
-  fault_plan_ = FaultPlan{};
-  fault_active_ = false;
-  edge_rates_.clear();
-  crash_schedule_.clear();
-  crash_nodes_.clear();
-  restart_windows_.clear();
-  restart_prefix_max_.clear();
-  edge_thresholds_.clear();
-  fault_lottery_.clear();
-  amnesia_restarts_.clear();
-}
-
 void Engine::set_transport(Transport transport, ReliableParams params) {
   if (params.window == 0 || params.rto_rounds == 0 || params.round_stretch == 0) {
     throw std::invalid_argument("ReliableParams: window/rto/stretch must be positive");

@@ -273,8 +273,6 @@ struct ReliableParams {
   /// to R * round_stretch + round_slack physical rounds before giving up.
   std::size_t round_stretch = 24;
   std::size_t round_slack = 256;
-  /// Salt of the per-word checksums.
-  std::uint64_t checksum_salt = 0x9e3779b97f4a7c15ULL;
 };
 
 /// Synchronous CONGEST round scheduler with per-edge bandwidth enforcement,
@@ -309,9 +307,8 @@ class Engine {
 
   /// Install a deterministic fault schedule consulted on every delivery of
   /// every subsequent run. The plan is validated against the graph. An
-  /// inactive plan (all-zero rates, no crashes) is equivalent to
-  /// clear_fault_plan(): no lottery is drawn and runs are byte-identical to
-  /// a fault-free engine.
+  /// inactive plan (all-zero rates, no crashes) clears the previous one: no
+  /// lottery is drawn and runs are byte-identical to a fault-free engine.
   ///
   /// The fault lottery draws from an independent RNG stream *per directed
   /// edge* (forked deterministically from the plan seed), so an edge's
@@ -319,13 +316,11 @@ class Engine {
   /// sends across different edges interleave. This is what keeps faulty
   /// runs byte-identical between the serial and sharded-parallel paths.
   void set_fault_plan(FaultPlan plan);
-  void clear_fault_plan();
   bool fault_plan_active() const { return fault_active_; }
 
   /// Select the transport for subsequent runs (default kDirect).
   void set_transport(Transport transport, ReliableParams params = {});
   Transport transport() const { return transport_; }
-  const ReliableParams& reliable_params() const { return reliable_params_; }
 
   /// Deterministic sharded round execution — the ParallelEngine mode.
   /// With threads > 1, each pass partitions the runnable nodes into

@@ -28,6 +28,12 @@ constexpr std::int32_t kRelRecW0 = -108;   // replayed data, chunk 0 (like kRelD
 constexpr std::int32_t kRelRecW1 = -109;   // replayed data, chunk 1 (like kRelData1)
 
 constexpr std::uint64_t kChecksumMask = 0x3FFFFFFF;  // 30 bits
+constexpr std::uint64_t kChecksumSalt = 0x9e3779b97f4a7c15ULL;
+
+/// Extra virtual rounds of per-link send log kept beyond the checkpoint
+/// distance, absorbing the <= 1 round of virtual-round skew between
+/// neighbors plus the request/response handshake.
+constexpr std::size_t kLogMargin = 4;
 
 /// Header count marking a requested round the responder has already pruned
 /// from its send log (the recovering node then cannot catch up and dies).
@@ -41,49 +47,43 @@ std::uint64_t mix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
-std::uint32_t fold30(std::initializer_list<std::uint64_t> fields, std::uint64_t salt) {
-  std::uint64_t h = salt;
+std::uint32_t fold30(std::initializer_list<std::uint64_t> fields) {
+  std::uint64_t h = kChecksumSalt;
   for (std::uint64_t f : fields) h = mix64(h ^ f);
   return static_cast<std::uint32_t>(h & kChecksumMask);
 }
 
-std::uint32_t data_checksum(std::uint32_t seq, const Word& w, std::uint64_t salt) {
+std::uint32_t data_checksum(std::uint32_t seq, const Word& w) {
   return fold30({seq, static_cast<std::uint32_t>(w.tag), static_cast<std::uint64_t>(w.a),
-                 static_cast<std::uint64_t>(w.b), w.quantum ? 1u : 0u, 0xDAu},
-                salt);
+                 static_cast<std::uint64_t>(w.b), w.quantum ? 1u : 0u, 0xDAu});
 }
 
-std::uint32_t fence_checksum(std::uint32_t seq, std::size_t round, bool final,
-                             std::uint64_t salt) {
-  return fold30({seq, static_cast<std::uint64_t>(round), final ? 1u : 0u, 0xFEu}, salt);
+std::uint32_t fence_checksum(std::uint32_t seq, std::size_t round, bool final) {
+  return fold30({seq, static_cast<std::uint64_t>(round), final ? 1u : 0u, 0xFEu});
 }
 
-std::uint32_t ack_checksum(std::uint32_t next_expected, std::uint64_t salt) {
-  return fold30({next_expected, 0xACu}, salt);
+std::uint32_t ack_checksum(std::uint32_t next_expected) {
+  return fold30({next_expected, 0xACu});
 }
 
-std::uint32_t poll_checksum(std::size_t round, std::uint64_t salt) {
-  return fold30({static_cast<std::uint64_t>(round), 0xB0u}, salt);
+std::uint32_t poll_checksum(std::size_t round) {
+  return fold30({static_cast<std::uint64_t>(round), 0xB0u});
 }
 
-std::uint32_t rec_req_checksum(std::uint32_t seq, std::size_t from, std::size_t to,
-                               std::uint64_t salt) {
+std::uint32_t rec_req_checksum(std::uint32_t seq, std::size_t from, std::size_t to) {
   return fold30({seq, static_cast<std::uint64_t>(from), static_cast<std::uint64_t>(to),
-                 0xEAu},
-                salt);
+                 0xEAu});
 }
 
-std::uint32_t rec_hdr_checksum(std::uint32_t seq, std::size_t round,
-                               std::uint32_t count, std::uint64_t salt) {
-  return fold30({seq, static_cast<std::uint64_t>(round), count, 0xEBu}, salt);
+std::uint32_t rec_hdr_checksum(std::uint32_t seq, std::size_t round, std::uint32_t count) {
+  return fold30({seq, static_cast<std::uint64_t>(round), count, 0xEBu});
 }
 
 // Distinct checksum domain from live data frames, so a replayed word can
 // never masquerade as a fresh one (and vice versa) even under bit flips.
-std::uint32_t rec_data_checksum(std::uint32_t seq, const Word& w, std::uint64_t salt) {
+std::uint32_t rec_data_checksum(std::uint32_t seq, const Word& w) {
   return fold30({seq, static_cast<std::uint32_t>(w.tag), static_cast<std::uint64_t>(w.a),
-                 static_cast<std::uint64_t>(w.b), w.quantum ? 1u : 0u, 0xEDu},
-                salt);
+                 static_cast<std::uint64_t>(w.b), w.quantum ? 1u : 0u, 0xEDu});
 }
 
 std::int64_t pack(std::uint32_t hi, std::uint32_t lo) {
@@ -235,12 +235,11 @@ class ReliableProgram final : public NodeProgram {
   // The link layer itself holds no durable state worth checkpointing (it is
   // the part of the node that survives amnesia, like a NIC re-establishing
   // its session), so snapshots pass straight through to the inner program.
+  // No restore override: the engine restores programs only under the
+  // direct transport, and on_amnesia_restart below restores the inner one.
 
   bool snapshot(std::vector<std::int64_t>& out) const override {
     return inner_->snapshot(out);
-  }
-  bool restore(std::uint32_t version, std::span<const std::int64_t> words) override {
-    return inner_->restore(version, words);
   }
   std::uint32_t state_version() const override { return inner_->state_version(); }
 
@@ -482,7 +481,7 @@ class ReliableProgram final : public NodeProgram {
     // execute r + 1 before we fence r) and checkpoint every k rounds too, so
     // send-rounds below rounds_done - k - margin - 1 are unreachable.
     std::size_t k = policy.checkpoint.every_rounds;
-    std::size_t reach = k + policy.log_margin + 1;
+    std::size_t reach = k + kLogMargin + 1;
     if (rounds_done <= reach) return;
     std::size_t keep_from = rounds_done - reach;
     for (OutLink& out : out_) {
@@ -522,8 +521,9 @@ class ReliableProgram final : public NodeProgram {
     switch (w.tag) {
       case kRelAck: {
         auto next = static_cast<std::uint32_t>(static_cast<std::uint64_t>(w.b));
-        if (hi32(w.a) != 0 || lo32(w.a) >> 2 != ack_checksum(next, params_.checksum_salt))
+        if (hi32(w.a) != 0 || lo32(w.a) >> 2 != ack_checksum(next)) {
           return false;  // corrupted ack
+        }
         if (next > out.next_seq) return false;
         if (next > out.acked_prefix) {
           out.acked_prefix = next;
@@ -561,8 +561,8 @@ class ReliableProgram final : public NodeProgram {
         std::uint32_t cksum = lo32(p.a1) >> 2;
         const bool was_rec = p.rec;
         in.partial.erase(seq);
-        std::uint32_t expect = was_rec ? rec_data_checksum(seq, word, params_.checksum_salt)
-                                       : data_checksum(seq, word, params_.checksum_salt);
+        std::uint32_t expect =
+            was_rec ? rec_data_checksum(seq, word) : data_checksum(seq, word);
         if (cksum != expect) {
           return false;  // corrupted frame: discard, retransmission recovers it
         }
@@ -580,7 +580,7 @@ class ReliableProgram final : public NodeProgram {
                                                 : false;
         bool final = ((lo32(w.a) >> 1) & 1) != 0;
         auto round = static_cast<std::size_t>(w.b);
-        if (lo32(w.a) >> 2 != fence_checksum(seq, round, final, params_.checksum_salt)) {
+        if (lo32(w.a) >> 2 != fence_checksum(seq, round, final)) {
           return false;
         }
         Item item;
@@ -598,7 +598,7 @@ class ReliableProgram final : public NodeProgram {
                                                 : false;
         std::size_t from = hi32(w.b);
         std::size_t to = lo32(w.b);
-        if (lo32(w.a) >> 2 != rec_req_checksum(seq, from, to, params_.checksum_salt)) {
+        if (lo32(w.a) >> 2 != rec_req_checksum(seq, from, to)) {
           return false;  // corrupted; the peer's retransmission recovers it
         }
         Item item;
@@ -616,7 +616,7 @@ class ReliableProgram final : public NodeProgram {
                                                 : false;
         std::size_t round = hi32(w.b);
         std::uint32_t count = lo32(w.b);
-        if (lo32(w.a) >> 2 != rec_hdr_checksum(seq, round, count, params_.checksum_salt)) {
+        if (lo32(w.a) >> 2 != rec_hdr_checksum(seq, round, count)) {
           return false;
         }
         Item item;
@@ -630,7 +630,7 @@ class ReliableProgram final : public NodeProgram {
       case kRelPoll: {
         auto round = static_cast<std::size_t>(w.b);
         if (hi32(w.a) != 0 ||
-            lo32(w.a) >> 2 != poll_checksum(round, params_.checksum_salt)) {
+            lo32(w.a) >> 2 != poll_checksum(round)) {
           return false;  // corrupted poll; the peer re-polls on its timer
         }
         out.demanded = std::max(out.demanded, static_cast<std::int64_t>(round));
@@ -800,14 +800,14 @@ class ReliableProgram final : public NodeProgram {
       OutLink& out = out_[ni];
 
       if (budget > 0 && in.ack_dirty) {
-        std::uint32_t cksum = ack_checksum(in.next_expected, params_.checksum_salt);
+        std::uint32_t cksum = ack_checksum(in.next_expected);
         ctx.send(peer, Word{kRelAck, pack(0, cksum << 2),
                             static_cast<std::int64_t>(in.next_expected), false});
         in.ack_dirty = false;
         --budget;
       }
       if (budget > 0 && in.poll_pending) {
-        std::uint32_t cksum = poll_checksum(in.poll_target, params_.checksum_salt);
+        std::uint32_t cksum = poll_checksum(in.poll_target);
         ctx.send(peer, Word{kRelPoll, pack(0, cksum << 2),
                             static_cast<std::int64_t>(in.poll_target), false});
         in.poll_pending = false;
@@ -840,7 +840,7 @@ class ReliableProgram final : public NodeProgram {
           std::size_t spread = backoff / 4;
           if (spread > 1) {
             std::uint64_t h = mix64(
-                mix64(params_.checksum_salt ^
+                mix64(kChecksumSalt ^
                       (static_cast<std::uint64_t>(id_) << 40) ^
                       (static_cast<std::uint64_t>(peer) << 20) ^ seq) ^
                 fl.rto);
@@ -866,15 +866,13 @@ class ReliableProgram final : public NodeProgram {
   Word make_chunk(std::uint32_t seq, const Item& item, std::size_t chunk) const {
     switch (item.kind) {
       case ItemKind::kFence: {
-        std::uint32_t cksum = fence_checksum(seq, item.fence_round, item.fence_final,
-                                             params_.checksum_salt);
+        std::uint32_t cksum = fence_checksum(seq, item.fence_round, item.fence_final);
         std::uint32_t lo = (cksum << 2) | (item.fence_final ? 2u : 0u);
         return Word{kRelFence, pack(seq, lo),
                     static_cast<std::int64_t>(item.fence_round), false};
       }
       case ItemKind::kRecReq: {
-        std::uint32_t cksum =
-            rec_req_checksum(seq, item.rec_a, item.rec_b, params_.checksum_salt);
+        std::uint32_t cksum = rec_req_checksum(seq, item.rec_a, item.rec_b);
         return Word{kRelRecReq, pack(seq, cksum << 2),
                     pack(static_cast<std::uint32_t>(item.rec_a),
                          static_cast<std::uint32_t>(item.rec_b)),
@@ -882,8 +880,7 @@ class ReliableProgram final : public NodeProgram {
       }
       case ItemKind::kRecHdr: {
         auto count = static_cast<std::uint32_t>(item.rec_b);
-        std::uint32_t cksum =
-            rec_hdr_checksum(seq, item.rec_a, count, params_.checksum_salt);
+        std::uint32_t cksum = rec_hdr_checksum(seq, item.rec_a, count);
         return Word{kRelRecHdr, pack(seq, cksum << 2),
                     pack(static_cast<std::uint32_t>(item.rec_a), count), false};
       }
@@ -897,8 +894,7 @@ class ReliableProgram final : public NodeProgram {
       return Word{rec ? kRelRecW0 : kRelData0,
                   pack(seq, static_cast<std::uint32_t>(w.tag)), w.a, w.quantum};
     }
-    std::uint32_t cksum = rec ? rec_data_checksum(seq, w, params_.checksum_salt)
-                              : data_checksum(seq, w, params_.checksum_salt);
+    std::uint32_t cksum = rec ? rec_data_checksum(seq, w) : data_checksum(seq, w);
     std::uint32_t lo = (cksum << 2) | (w.quantum ? 2u : 0u);
     return Word{rec ? kRelRecW1 : kRelData1, pack(seq, lo), w.b, w.quantum};
   }

@@ -208,12 +208,6 @@ JsonWriter& JsonWriter::null() {
   return *this;
 }
 
-JsonWriter& JsonWriter::raw(std::string_view fragment) {
-  begin_value();
-  out_ += fragment;
-  return *this;
-}
-
 // --- Validator --------------------------------------------------------------
 
 namespace {

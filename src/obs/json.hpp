@@ -57,14 +57,6 @@ class JsonWriter {
   }
   JsonWriter& null();
 
-  /// Splice a pre-rendered JSON value verbatim as the next value: the
-  /// leading comma and indentation are emitted exactly as for any other
-  /// value, then `fragment` is appended untouched. The fragment must be a
-  /// complete JSON value whose internal indentation already matches the
-  /// splice depth — which is how the result cache re-emits sealed report
-  /// sections byte-identically to a fresh render (Section::render).
-  JsonWriter& raw(std::string_view fragment);
-
   /// How many non-finite doubles were serialized as null so far.
   std::size_t non_finite_values() const { return non_finite_; }
 

@@ -141,30 +141,9 @@ void RunReport::Section::write_json(JsonWriter& writer) const {
   writer.end_object();
 }
 
-std::string RunReport::Section::render() const {
-  // Rebuild the exact writer context a section sees inside to_json(): the
-  // root object with the "sections" array open. The scaffold prefix plus
-  // the "\n    " begin_value emits before this section's '{' is stripped,
-  // leaving a fragment whose interior indentation already matches the
-  // splice depth of JsonWriter::raw.
-  JsonWriter writer;
-  writer.begin_object();
-  writer.key("sections");
-  writer.begin_array();
-  const std::size_t prefix = writer.str().size() + 5;  // +5: "\n    "
-  write_json(writer);
-  return writer.str().substr(prefix);
-}
-
 RunReport::Section& RunReport::add_section(std::string name) {
   sections_.emplace_back(std::move(name));
   return sections_.back();
-}
-
-void RunReport::add_rendered_section(std::string name, std::string fragment) {
-  Section section(std::move(name));
-  section.rendered_ = std::move(fragment);
-  sections_.push_back(std::move(section));
 }
 
 std::string RunReport::to_json() const {
@@ -174,13 +153,7 @@ std::string RunReport::to_json() const {
   writer.key("producer").value(producer_);
   writer.key("deterministic").value(true);
   writer.key("sections").begin_array();
-  for (const Section& section : sections_) {
-    if (section.is_rendered()) {
-      writer.raw(section.rendered());
-    } else {
-      section.write_json(writer);
-    }
-  }
+  for (const Section& section : sections_) section.write_json(writer);
   writer.end_array();
   writer.end_object();
   return writer.str() + "\n";

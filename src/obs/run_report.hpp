@@ -62,22 +62,7 @@ class RunReport {
 
     void write_json(JsonWriter& writer) const;
 
-    /// Render this section standalone, byte-identical to how it would
-    /// appear inside to_json()'s "sections" array (same 4-space interior
-    /// depth, no leading indentation or trailing newline). The fragment can
-    /// be sealed in the result cache and later spliced back with
-    /// add_rendered_section — the document bytes cannot tell the difference.
-    std::string render() const;
-
-    /// True when this section is a pre-rendered fragment (see
-    /// RunReport::add_rendered_section); write_json must not be called on
-    /// it — to_json splices the fragment verbatim instead.
-    bool is_rendered() const { return !rendered_.empty(); }
-    const std::string& rendered() const { return rendered_; }
-
    private:
-    friend class RunReport;
-
     std::string name_;
     std::map<std::string, std::string> labels_;
     std::optional<bool> success_;
@@ -87,7 +72,6 @@ class RunReport {
     std::vector<RoundProfiler::PhaseSpan> phases_;
     bool has_profile_ = false;
     MetricsRegistry metrics_;
-    std::string rendered_;  // non-empty: splice verbatim, ignore the rest
   };
 
   explicit RunReport(std::string producer) : producer_(std::move(producer)) {}
@@ -96,11 +80,6 @@ class RunReport {
   const std::string& producer() const { return producer_; }
 
   Section& add_section(std::string name);
-  /// Append a section sealed earlier by Section::render (e.g. served from
-  /// the result cache). `name` is bookkeeping only — the fragment already
-  /// embeds its own "name" field — so mixed fresh/cached reports stay
-  /// byte-identical to an all-fresh render.
-  void add_rendered_section(std::string name, std::string fragment);
   const std::vector<Section>& sections() const { return sections_; }
   bool empty() const { return sections_.empty(); }
   void clear() { sections_.clear(); }

@@ -1,8 +1,5 @@
 #include "src/quantum/kernels.hpp"
 
-#include <cstdlib>
-#include <cstring>
-
 namespace qcongest::quantum::kernels {
 namespace {
 
@@ -49,8 +46,6 @@ void scalar_pairs_controlled(Amplitude* amps, std::size_t dim,
 constexpr KernelOps kScalarOps{scalar_pairs, scalar_pairs_controlled};
 
 Backend detect_backend() {
-  const char* force = std::getenv("QCONGEST_FORCE_SCALAR");
-  if (force != nullptr && std::strcmp(force, "0") != 0) return Backend::kScalar;
   if (avx2_ops_or_null() != nullptr) return Backend::kAvx2;
   if (neon_ops_or_null() != nullptr) return Backend::kNeon;
   return Backend::kScalar;

@@ -8,11 +8,11 @@ namespace qcongest::quantum::kernels {
 
 /// Which statevector kernel implementation is driving Statevector::apply*.
 ///
-/// Selection is resolved once per process: `QCONGEST_FORCE_SCALAR` (any
-/// non-"0" value) pins the scalar oracle; otherwise the best ISA the CPU
-/// reports at runtime wins (AVX2 on x86-64, NEON on aarch64). The binary
-/// never requires the ISA it probes for — vector code lives behind
-/// per-function target attributes, so one build runs everywhere.
+/// Selection is resolved once per process: the best ISA the CPU reports at
+/// runtime wins (AVX2 on x86-64, NEON on aarch64), else the scalar oracle,
+/// which tests reach directly through scalar_ops(). The binary never
+/// requires the ISA it probes for — vector code lives behind per-function
+/// target attributes, so one build runs everywhere.
 enum class Backend { kScalar, kAvx2, kNeon };
 
 /// The 2x2 unitary of a single-qubit gate, unpacked from Gate1 so the
@@ -47,7 +47,7 @@ struct KernelOps {
 /// backend against it.
 const KernelOps& scalar_ops();
 
-/// The backend selected for this process (env override, then CPU probe).
+/// The backend selected for this process (CPU probe).
 const KernelOps& active_ops();
 Backend active_backend();
 const char* backend_name(Backend b);

@@ -30,10 +30,6 @@ void QuditState::apply_phase_oracle(const std::function<bool(std::size_t)>& f) {
   }
 }
 
-void QuditState::apply_diagonal(const std::function<Amplitude(std::size_t)>& phase) {
-  for (std::size_t i = 0; i < amps_.size(); ++i) amps_[i] *= phase(i);
-}
-
 void QuditState::reflect_about_uniform() {
   Amplitude mean{0, 0};
   for (const Amplitude& a : amps_) mean += a;

@@ -31,9 +31,6 @@ class QuditState {
   /// Phase oracle |i> -> (-1)^{f(i)} |i>.
   void apply_phase_oracle(const std::function<bool(std::size_t)>& f);
 
-  /// Arbitrary diagonal unitary |i> -> phase(i)|i>.
-  void apply_diagonal(const std::function<Amplitude(std::size_t)>& phase);
-
   /// Reflection through the uniform superposition: 2|u><u| - I.
   void reflect_about_uniform();
 

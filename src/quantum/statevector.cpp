@@ -109,14 +109,6 @@ void Statevector::h_all() {
   for (unsigned q = 0; q < num_qubits_; ++q) h(q);
 }
 
-void Statevector::apply_diagonal(const std::function<Amplitude(BasisState)>& phase) {
-  diagonal_impl(phase);
-}
-
-void Statevector::apply_permutation(const std::function<BasisState(BasisState)>& pi) {
-  permutation_impl(pi);
-}
-
 BasisState Statevector::measure_all(util::Rng& rng) {
   BasisState outcome = sample(rng);
   amplitudes_.assign(amplitudes_.size(), Amplitude{0, 0});
@@ -161,15 +153,6 @@ std::vector<double> Statevector::marginal(unsigned first, unsigned count) const 
 
 void Statevector::check_qubit(unsigned q) const {
   if (q >= num_qubits_) throw std::invalid_argument("qubit index out of range");
-}
-
-CumulativeSampler::CumulativeSampler(const Statevector& state) {
-  cumulative_.reserve(state.dimension());
-  double running = 0.0;
-  for (const Amplitude& a : state.amplitudes()) {
-    running += std::norm(a);
-    cumulative_.push_back(running);
-  }
 }
 
 CumulativeSampler::CumulativeSampler(std::span<const double> probabilities) {

@@ -1,10 +1,8 @@
 #pragma once
 
 #include <cmath>
-#include <functional>
 #include <span>
 #include <stdexcept>
-#include <utility>
 #include <vector>
 
 #include "src/quantum/gates.hpp"
@@ -73,51 +71,20 @@ class Statevector {
   /// |b> -> phase(b) * |b> for every basis state. `phase` must return a
   /// unit-modulus complex number for the result to stay normalized.
   ///
-  /// The template overload binds lambdas and function objects directly, so
-  /// the per-amplitude call inlines instead of going through a type-erased
-  /// std::function dispatch; the std::function overload remains for callers
-  /// that already hold one.
-  void apply_diagonal(const std::function<Amplitude(BasisState)>& phase);
+  /// A template, so lambdas and function objects bind directly and the
+  /// per-amplitude call inlines instead of going through a type-erased
+  /// std::function dispatch.
   template <typename PhaseFn>
   void apply_diagonal(PhaseFn&& phase) {
-    diagonal_impl(std::forward<PhaseFn>(phase));
-  }
-
-  /// Permutation on basis states: |b> -> |pi(b)>. `pi` must be a bijection
-  /// on [0, 2^n). Same overload pair as apply_diagonal: the template
-  /// overload avoids per-amplitude std::function dispatch.
-  void apply_permutation(const std::function<BasisState(BasisState)>& pi);
-  template <typename PiFn>
-  void apply_permutation(PiFn&& pi) {
-    permutation_impl(std::forward<PiFn>(pi));
-  }
-
-  // --- Measurement ----------------------------------------------------------
-
-  /// Measure all qubits; collapses to the sampled basis state.
-  BasisState measure_all(util::Rng& rng);
-
-  /// Measure a single qubit; collapses (and renormalizes) the state.
-  bool measure_qubit(unsigned qubit, util::Rng& rng);
-
-  /// Sample a basis state without collapsing.
-  BasisState sample(util::Rng& rng) const;
-
-  /// Marginal distribution over the qubits [first, first + count).
-  std::vector<double> marginal(unsigned first, unsigned count) const;
-
- private:
-  void check_qubit(unsigned q) const;
-
-  template <typename PhaseFn>
-  void diagonal_impl(PhaseFn&& phase) {
     for (std::size_t b = 0; b < amplitudes_.size(); ++b) {
       amplitudes_[b] *= phase(static_cast<BasisState>(b));
     }
   }
 
+  /// Permutation on basis states: |b> -> |pi(b)>. `pi` must be a bijection
+  /// on [0, 2^n). A template for the same reason as apply_diagonal.
   template <typename PiFn>
-  void permutation_impl(PiFn&& pi) {
+  void apply_permutation(PiFn&& pi) {
     // scratch_ is reused across calls (boosting loops permute repeatedly),
     // so the steady state allocates nothing.
     scratch_.assign(amplitudes_.size(), Amplitude{0, 0});
@@ -137,6 +104,23 @@ class Statevector {
     amplitudes_.swap(scratch_);
   }
 
+  // --- Measurement ----------------------------------------------------------
+
+  /// Measure all qubits; collapses to the sampled basis state.
+  BasisState measure_all(util::Rng& rng);
+
+  /// Measure a single qubit; collapses (and renormalizes) the state.
+  bool measure_qubit(unsigned qubit, util::Rng& rng);
+
+  /// Sample a basis state without collapsing.
+  BasisState sample(util::Rng& rng) const;
+
+  /// Marginal distribution over the qubits [first, first + count).
+  std::vector<double> marginal(unsigned first, unsigned count) const;
+
+ private:
+  void check_qubit(unsigned q) const;
+
   unsigned num_qubits_;
   std::vector<Amplitude> amplitudes_;
   std::vector<Amplitude> scratch_;  // apply_permutation workspace
@@ -150,12 +134,8 @@ class Statevector {
 /// binary search, and the draws are byte-identical to what the scan would
 /// have returned for the same RNG stream (first index whose cumulative
 /// probability exceeds the uniform draw, tail-guarded against rounding).
-///
-/// The table is a snapshot: mutating the state afterwards does not
-/// invalidate the sampler, it just keeps sampling the old distribution.
 class CumulativeSampler {
  public:
-  explicit CumulativeSampler(const Statevector& state);
   /// From an explicit distribution (e.g. Statevector::marginal); weights
   /// must be non-negative and sum to ~1.
   explicit CumulativeSampler(std::span<const double> probabilities);

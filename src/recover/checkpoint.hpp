@@ -84,10 +84,6 @@ struct RecoveryPolicy {
   /// program factory is installed for the run).
   bool enabled = false;
   CheckpointPolicy checkpoint;
-  /// Extra rounds of per-link send log retained beyond the checkpoint
-  /// distance, absorbing the <= 1 round of virtual-round skew between
-  /// neighbors plus the request/response handshake.
-  std::size_t log_margin = 4;
 };
 
 }  // namespace qcongest::recover

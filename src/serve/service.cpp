@@ -44,8 +44,6 @@ Service::Service(ServiceConfig config)
   compact_journal(config_.journal_dir, recovery_);
   JournalConfig journal_config;
   journal_config.dir = config_.journal_dir;
-  journal_config.rotate_bytes = config_.journal_rotate_bytes;
-  journal_config.max_segments = config_.journal_max_segments;
   journal_config.fsync_each_record = config_.journal_fsync;
   journal_ = std::make_unique<Journal>(std::move(journal_config));
   journal_->seed_live(recovery_.incomplete);

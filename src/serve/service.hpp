@@ -55,9 +55,6 @@ struct ServiceConfig {
   /// fsync the journal after every record (power-loss durability). The
   /// default off still survives process death via the page cache.
   bool journal_fsync = false;
-  /// Journal segment rotation / compaction knobs (see JournalConfig).
-  std::size_t journal_rotate_bytes = 1 << 20;
-  std::size_t journal_max_segments = 4;
 };
 
 /// One reply per submitted job, exactly once.

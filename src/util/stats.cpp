@@ -1,11 +1,8 @@
 #include "src/util/stats.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 namespace qcongest::util {
-
-double RunningStats::stddev() const { return std::sqrt(variance()); }
 
 double median(std::vector<double> values) {
   if (values.empty()) return 0.0;

@@ -21,7 +21,6 @@ class RunningStats {
   std::size_t count() const { return n_; }
   double mean() const { return mean_; }
   double variance() const { return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0; }
-  double stddev() const;
   double min() const { return min_; }
   double max() const { return max_; }
 

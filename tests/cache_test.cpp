@@ -103,8 +103,11 @@ TEST(KeyBuilder, FaultPlanIsOrderCanonical) {
   forward.link.drop = 0.05;
   forward.crashes.push_back(net::CrashEvent{2, 30, 60});
   forward.crashes.push_back(net::CrashEvent{1, 10, 20});
+  forward.edge_overrides.push_back({{3, 4}, net::FaultRates{0.2, 0.0, 0.0}});
+  forward.edge_overrides.push_back({{0, 1}, net::FaultRates{0.1, 0.0, 0.0}});
   net::FaultPlan backward = forward;
   std::swap(backward.crashes[0], backward.crashes[1]);
+  std::swap(backward.edge_overrides[0], backward.edge_overrides[1]);
 
   KeyBuilder a, b;
   a.fault_plan("fault", forward);
@@ -116,6 +119,12 @@ TEST(KeyBuilder, FaultPlanIsOrderCanonical) {
   KeyBuilder c;
   c.fault_plan("fault", different);
   EXPECT_NE(a.digest(), c.digest());
+
+  net::FaultPlan other_rate = forward;
+  other_rate.edge_overrides[1].second.drop = 0.3;
+  KeyBuilder d;
+  d.fault_plan("fault", other_rate);
+  EXPECT_NE(a.digest(), d.digest());
 }
 
 TEST(CodeVersionSalt, EnvironmentOverrides) {

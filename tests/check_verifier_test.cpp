@@ -70,16 +70,30 @@ bool has_kind(const Verifier& v, InvariantKind kind) {
   return false;
 }
 
+/// Run `programs` the way chaos_run does: an exception aborts the run and
+/// goes to the verifier, which records it if it is a model rule.
+net::RunResult run_observed(Engine& engine, Verifier& verifier,
+                            std::vector<std::unique_ptr<NodeProgram>>& programs,
+                            std::size_t max_rounds) {
+  try {
+    return engine.run(programs, max_rounds);
+  } catch (const std::exception& e) {
+    verifier.abandon_run(e);
+    return net::RunResult{};
+  }
+}
+
 TEST(Verifier, CleanRunHasNoViolations) {
   Graph g = net::path_graph(5);
-  VerifiedEngine verified(g, /*bandwidth_words=*/1, /*seed=*/3);
+  Verifier verifier;
+  Engine engine(g, /*bandwidth_words=*/1, /*seed=*/3);
+  engine.set_observers({&verifier});
   auto programs = make_programs(5, [] { return std::make_unique<Flood>(); });
-  auto result = verified.run(programs, 20);
+  auto result = run_observed(engine, verifier, programs, 20);
   EXPECT_TRUE(result.completed);
-  EXPECT_TRUE(verified.verifier().ok()) << verified.verifier().report();
-  EXPECT_EQ(verified.verifier().runs_verified(), 1u);
-  EXPECT_NE(verified.verifier().report().find("all invariants held"),
-            std::string::npos);
+  EXPECT_TRUE(verifier.ok()) << verifier.report();
+  EXPECT_EQ(verifier.runs_verified(), 1u);
+  EXPECT_NE(verifier.report().find("all invariants held"), std::string::npos);
 }
 
 TEST(Verifier, CleanRunUnderFaultsConserved) {
@@ -87,43 +101,59 @@ TEST(Verifier, CleanRunUnderFaultsConserved) {
   // lottery, sent must still equal delivered + dropped and every RunResult
   // counter must match the observer's independent tally.
   Graph g = net::path_graph(4);
-  VerifiedEngine verified(g, 1, /*seed=*/11);
+  Verifier verifier;
+  Engine engine(g, /*bandwidth_words=*/1, /*seed=*/11);
+  engine.set_observers({&verifier});
   net::FaultPlan plan;
   plan.link = net::FaultRates{0.3, 0.2, 0.2};
-  verified.engine().set_fault_plan(plan);
+  engine.set_fault_plan(plan);
   auto programs = make_programs(4, [] { return std::make_unique<Flood>(); });
-  (void)verified.run(programs, 20);
-  EXPECT_TRUE(verified.verifier().ok()) << verified.verifier().report();
+  (void)run_observed(engine, verifier, programs, 20);
+  EXPECT_EQ(verifier.runs_verified(), 1u);
+  EXPECT_TRUE(verifier.ok()) << verifier.report();
 }
 
 TEST(Verifier, ReliableTransportRetransmissionsAccounted) {
   Graph g = net::path_graph(3);
-  VerifiedEngine verified(g, 1, /*seed=*/5);
+  Verifier verifier;
+  Engine engine(g, /*bandwidth_words=*/1, /*seed=*/5);
+  engine.set_observers({&verifier});
   net::FaultPlan plan;
   plan.link = net::FaultRates{0.3, 0.0, 0.0};
-  verified.engine().set_fault_plan(plan);
-  verified.engine().set_transport(net::Transport::kReliable);
+  engine.set_fault_plan(plan);
+  engine.set_transport(net::Transport::kReliable);
   auto programs = make_programs(3, [] { return std::make_unique<Flood>(); });
-  auto result = verified.run(programs, 10);
-  EXPECT_TRUE(verified.verifier().ok()) << verified.verifier().report();
+  auto result = run_observed(engine, verifier, programs, 10);
+  EXPECT_TRUE(verifier.ok()) << verifier.report();
   EXPECT_GT(result.retransmissions + result.dropped_words, 0u);
 }
 
 TEST(Verifier, CatchesOverBudgetSend) {
+  // The engine enforces the bandwidth rule by throwing; the catch site's
+  // abandon_run(e) is what turns the exception into a violation with
+  // provenance (chaos_run's sweep and recovery lane do exactly this).
   Graph g = net::path_graph(2);
-  VerifiedEngine verified(g, /*bandwidth_words=*/1);
+  Verifier verifier;
+  Engine engine(g, /*bandwidth_words=*/1);
+  engine.set_observers({&verifier});
   auto programs = make_programs(2, [] { return std::make_unique<OverBudget>(); });
-  auto result = verified.run(programs, 10);  // must not throw
-  EXPECT_FALSE(result.completed);
-  EXPECT_FALSE(verified.verifier().ok());
-  ASSERT_TRUE(has_kind(verified.verifier(), InvariantKind::kBandwidthPerRound));
-  const Violation& v = verified.verifier().violations().front();
+  EXPECT_THROW((void)engine.run(programs, 10), net::CongestViolation);
+  EXPECT_TRUE(verifier.ok());  // nothing recorded until the catch site says so
+  (void)run_observed(engine, verifier, programs, 10);
+  EXPECT_FALSE(verifier.ok());
+  ASSERT_TRUE(has_kind(verifier, InvariantKind::kBandwidthPerRound));
+  ASSERT_EQ(verifier.violations().size(), 1u);
+  const Violation& v = verifier.violations().front();
   EXPECT_TRUE(v.has_round);
   EXPECT_EQ(v.round, 0u);
   EXPECT_TRUE(v.has_edge);
   EXPECT_EQ(v.from, 0u);
   EXPECT_EQ(v.to, 1u);
-  EXPECT_NE(verified.verifier().report().find("bandwidth"), std::string::npos);
+  EXPECT_NE(verifier.report().find("bandwidth"), std::string::npos);
+  // An exception that is not a model rule (a watchdog diagnosis, an app's
+  // own failure) only abandons the run.
+  verifier.abandon_run(std::runtime_error("app gave up"));
+  EXPECT_EQ(verifier.violations().size(), 1u);
 }
 
 TEST(Verifier, CatchesConservationBreak) {
@@ -132,7 +162,6 @@ TEST(Verifier, CatchesConservationBreak) {
   Graph g = net::path_graph(2);
   Engine engine(g, 1);
   Verifier verifier;
-  verifier.attach(engine);
   verifier.on_run_begin(engine);
   verifier.on_send(0, 0, 1, Word{}, 1);
   // No on_delivery for the word above.
@@ -152,7 +181,6 @@ TEST(Verifier, CatchesCounterMismatch) {
   Graph g = net::path_graph(2);
   Engine engine(g, 1);
   Verifier verifier;
-  verifier.attach(engine);
   verifier.on_run_begin(engine);
   verifier.on_send(0, 0, 1, Word{}, 1);
   verifier.on_delivery(0, 0, 1, net::DeliveryFate::kDelivered, false, false);
@@ -173,7 +201,6 @@ TEST(Verifier, CatchesQuiescenceInconsistency) {
   Graph g = net::path_graph(2);
   Engine engine(g, 1);
   Verifier verifier;
-  verifier.attach(engine);
   verifier.on_run_begin(engine);
   verifier.on_send(0, 0, 1, Word{}, 1);
   verifier.on_delivery(0, 0, 1, net::DeliveryFate::kDelivered, false, false);
@@ -190,13 +217,18 @@ TEST(Verifier, CatchesQuiescenceInconsistency) {
 
 TEST(Verifier, ResetForgetsEverything) {
   Graph g = net::path_graph(2);
-  VerifiedEngine verified(g, 1);
+  Verifier verifier;
+  Engine engine(g, /*bandwidth_words=*/1);
+  engine.set_observers({&verifier});
+  auto flood = make_programs(2, [] { return std::make_unique<Flood>(); });
+  (void)run_observed(engine, verifier, flood, 10);
   auto programs = make_programs(2, [] { return std::make_unique<OverBudget>(); });
-  (void)verified.run(programs, 10);
-  ASSERT_FALSE(verified.verifier().ok());
-  verified.verifier().reset();
-  EXPECT_TRUE(verified.verifier().ok());
-  EXPECT_EQ(verified.verifier().runs_verified(), 0u);
+  (void)run_observed(engine, verifier, programs, 10);
+  ASSERT_FALSE(verifier.ok());
+  ASSERT_EQ(verifier.runs_verified(), 1u);
+  verifier.reset();
+  EXPECT_TRUE(verifier.ok());
+  EXPECT_EQ(verifier.runs_verified(), 0u);
 }
 
 // --- Quantum invariants -----------------------------------------------------

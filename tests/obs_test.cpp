@@ -79,29 +79,6 @@ TEST(Json, ValidatorRejectsMalformedUtf8Strings) {
   EXPECT_FALSE(json_valid("\"\xc3\""));            // truncated at close quote
 }
 
-TEST(Json, RawSplicesVerbatimFragments) {
-  // Build the same array once with values, once by splicing pre-rendered
-  // fragments; the two documents must be byte-identical.
-  JsonWriter direct;
-  direct.begin_object();
-  direct.key("xs").begin_array();
-  direct.begin_object().key("a").value(1).end_object();
-  direct.begin_object().key("b").value(2).end_object();
-  direct.end_array();
-  direct.end_object();
-
-  JsonWriter spliced;
-  spliced.begin_object();
-  spliced.key("xs").begin_array();
-  spliced.raw("{\n      \"a\": 1\n    }");
-  spliced.raw("{\n      \"b\": 2\n    }");
-  spliced.end_array();
-  spliced.end_object();
-
-  EXPECT_EQ(direct.str(), spliced.str());
-  EXPECT_TRUE(json_valid(spliced.str()));
-}
-
 TEST(Json, NonFiniteNumbersSerializeAsNull) {
   // Regression test: NaN / ±Inf used to be printed raw into BENCH_*.json,
   // producing documents no JSON parser would accept.
@@ -386,29 +363,6 @@ TEST(RunReport, WritesToDiskWithoutThrowing) {
   // Unwritable path: reports failure through the out-param, never throws.
   EXPECT_FALSE(report.write("/nonexistent-dir/x/y.json", &error));
   EXPECT_FALSE(error.empty());
-}
-
-TEST(RunReport, RenderedSectionsSpliceByteIdentically) {
-  // The result cache's contract: rendering each section standalone and
-  // splicing the fragments back produces the same bytes as a fresh
-  // to_json(), so a cache-hit report is indistinguishable from a computed
-  // one. Exercised with a rich section (labels, result, trace, profile,
-  // metrics) plus a second minimal one (mixed fresh/cached order).
-  RunReport fresh = make_report();
-  fresh.add_section("second").set_label("k", "v");
-
-  RunReport spliced("obs_test");
-  for (const RunReport::Section& section : fresh.sections()) {
-    spliced.add_rendered_section(section.name(), section.render());
-  }
-  EXPECT_EQ(spliced.to_json(), fresh.to_json());
-
-  // Mixed: first section cached, second fresh.
-  RunReport mixed("obs_test");
-  mixed.add_rendered_section(fresh.sections()[0].name(),
-                             fresh.sections()[0].render());
-  mixed.add_section("second").set_label("k", "v");
-  EXPECT_EQ(mixed.to_json(), fresh.to_json());
 }
 
 TEST(RunReport, EmptySectionsStillValid) {

@@ -12,6 +12,7 @@
 #include "src/net/engine.hpp"
 #include "src/net/fault.hpp"
 #include "src/net/generators.hpp"
+#include "src/net/multi_bfs.hpp"
 #include "src/recover/checkpoint.hpp"
 #include "src/recover/watchdog.hpp"
 
@@ -374,6 +375,42 @@ TEST(RecoveryReliable, BfsTreeSurvivesAmnesiaWithNonzeroTax) {
   // zero here when the crash lands exactly on a fresh checkpoint — the
   // ring test below forces a nonempty replay window).
   EXPECT_GT(recovered.cost.recovery_rounds, 0u);
+}
+
+TEST(RecoveryReliable, EccentricityEchoSurvivesAmnesiaWithNonzeroTax) {
+  // Lemma 20 under an amnesia wipe: the crash window repeats in every engine
+  // run, so it lands in the BFS phase and again in the echo phase, where the
+  // echo's program factory and EccEchoProgram's snapshot/restore rebuild the
+  // victim. Every source must still learn its exact eccentricity.
+  util::Rng topo(31);
+  Graph g = net::random_connected_graph(12, 8, topo);
+  const std::vector<NodeId> sources{0, 5, 11};
+
+  auto run = [&](bool with_fault) {
+    Engine engine(g, 1, 37);
+    engine.set_transport(net::Transport::kReliable);
+    if (with_fault) {
+      FaultPlan plan;
+      plan.crashes.push_back(CrashEvent{4, 10, 40});
+      plan.crashes[0].amnesia = true;
+      engine.set_fault_plan(plan);
+      RecoveryPolicy recovery;
+      recovery.enabled = true;
+      recovery.checkpoint.every_rounds = 2;
+      engine.set_recovery(recovery);
+    }
+    return net::multi_source_eccentricities(engine, sources, g.num_nodes());
+  };
+
+  net::EccentricityEchoResult clean = run(false);
+  net::EccentricityEchoResult recovered = run(true);
+  EXPECT_EQ(clean.eccentricity, recovered.eccentricity);
+  for (std::size_t i = 0; i < sources.size(); ++i) {
+    EXPECT_EQ(recovered.eccentricity[i], g.eccentricity(sources[i])) << sources[i];
+  }
+  EXPECT_EQ(clean.echo_cost.recovery_rounds, 0u);
+  // The echo phase itself paid for a recovery, not just the BFS before it.
+  EXPECT_GT(recovered.echo_cost.recovery_rounds, 0u);
 }
 
 constexpr std::size_t kReliableRounds = 20;

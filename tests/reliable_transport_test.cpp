@@ -186,6 +186,44 @@ TEST(ReliableTransport, CrashRestartOutageIsBridged) {
   EXPECT_GT(result.retransmissions, 0u);
 }
 
+TEST(ReliableTransport, KeepAliveDefersQuiescence) {
+  // The wrapper's Context routes keep_alive to the link layer. Node 0 idles
+  // on purpose for five virtual rounds, then sends: with keep_alive the
+  // lazy fences keep executing its silent rounds; without it no node has a
+  // reason to run round 5 and the network goes quiet first — the same
+  // contract the engine imposes under the direct transport.
+  class Sleeper final : public NodeProgram {
+   public:
+    explicit Sleeper(bool keep_alive) : keep_alive_(keep_alive) {}
+    bool delivered = false;
+    void on_round(Context& ctx, std::span<const Message> inbox) override {
+      if (!inbox.empty()) delivered = true;
+      if (ctx.id() != 0) return;
+      if (ctx.round() < 5) {
+        if (keep_alive_) ctx.keep_alive();
+      } else if (ctx.round() == 5) {
+        ctx.send(1, Word{3, 1, 0, false});
+        ctx.halt();
+      }
+    }
+
+   private:
+    bool keep_alive_;
+  };
+  for (bool keep_alive : {true, false}) {
+    Graph g = path_graph(2);
+    Engine engine(g, 1, 3);
+    engine.set_fault_plan(lossy_plan(0.2, 0.0, 0.0));
+    engine.set_transport(Transport::kReliable);
+    std::vector<std::unique_ptr<NodeProgram>> programs;
+    programs.push_back(std::make_unique<Sleeper>(keep_alive));
+    programs.push_back(std::make_unique<Sleeper>(keep_alive));
+    RunResult result = engine.run(programs, 50);
+    EXPECT_TRUE(result.completed) << keep_alive;
+    EXPECT_EQ(static_cast<Sleeper&>(*programs[1]).delivered, keep_alive);
+  }
+}
+
 TEST(ReliableTransport, RespectsPhysicalBandwidth) {
   Graph g = path_graph(2);
   Engine engine(g, 3, 5);

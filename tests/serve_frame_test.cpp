@@ -22,8 +22,11 @@ Frame expect_frame(FrameReader& reader) {
 
 TEST(ServeFrame, RoundTripsPayloads) {
   FrameReader reader;
+  // sizeof - 1: the payload keeps its embedded NUL and 0xFF bytes but not
+  // the literal's terminator.
+  const char binary[] = "\x00\xff\n binary \x07";
   const std::string payloads[] = {"", "x", std::string(1000, 'q'),
-                                  std::string("\x00\xff\n binary \x07", 14)};
+                                  std::string(binary, sizeof(binary) - 1)};
   for (const std::string& payload : payloads) {
     reader.feed(encode_frame(FrameType::kSubmit, payload));
   }

@@ -89,6 +89,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <functional>
 #include <memory>
 #include <string>
@@ -402,9 +403,9 @@ int run_recovery_lane(const net::Graph& graph, const Options& opt,
       bool threw = false;
       try {
         out = app.run(graph, options);
-      } catch (const std::exception&) {
+      } catch (const std::exception& e) {
         threw = true;
-        if (opt.verify) verifier.abandon_run();
+        if (opt.verify) verifier.abandon_run(e);
       }
       double tax = base.cost.rounds > 0
                        ? static_cast<double>(out.cost.rounds) /
@@ -427,10 +428,10 @@ int run_recovery_lane(const net::Graph& graph, const Options& opt,
         const std::vector<net::NodeId>& s = e.suspects();
         diagnosed = std::find(s.begin(), s.end(), victim) != s.end();
         what = e.what();
-        if (opt.verify) verifier.abandon_run();
+        if (opt.verify) verifier.abandon_run(e);
       } catch (const std::exception& e) {
         what = std::string("unexpected error: ") + e.what();
-        if (opt.verify) verifier.abandon_run();
+        if (opt.verify) verifier.abandon_run(e);
       }
       std::printf("%-12s %-7s %s\n", app.name, diagnosed ? "PASS" : "FAIL",
                   what.c_str());
@@ -573,9 +574,9 @@ std::string run_sweep_experiment(const net::Graph& graph, const Options& opt,
       stats[trial].success = out.success;
       stats[trial].rounds = out.cost.rounds;
       stats[trial].retransmissions = out.cost.retransmissions;
-    } catch (const std::exception&) {
+    } catch (const std::exception& e) {
       stats[trial].success = false;  // a run that tripped an invariant
-      if (verifier != nullptr) verifier->abandon_run();
+      if (verifier != nullptr) verifier->abandon_run(e);
     }
   }
   return encode_sweep_blob(stats);
@@ -632,16 +633,15 @@ int run_gc(int argc, char** argv) {
   return 0;
 }
 
-/// Content address of one report section: the section name already encodes
-/// the app and fault level (or the amnesia lane), so the key adds the
-/// topology spec, seed, transport, lane knobs, schema version, and salt.
-std::string report_section_key(const Options& opt, const net::Graph& graph,
-                               const std::string& section_name) {
+/// Content address of the whole report document: the topology spec, seed,
+/// transport and lane knobs fix both the set of sections and every run in
+/// them, so they are the key (plus schema version and salt). --threads is
+/// absent for the same reason as in sweep_cache_key.
+std::string report_cache_key(const Options& opt, const net::Graph& graph) {
   cache::KeyBuilder key;
   key.field("salt", cache::code_version_salt());
   key.field("producer", "chaos_run-report");
   key.field("schema", static_cast<std::uint64_t>(obs::kReportSchemaVersion));
-  key.field("section", section_name);
   key.field("graph", opt.graph);
   key.field("nodes", static_cast<std::uint64_t>(graph.num_nodes()));
   key.field("seed", opt.seed);
@@ -657,14 +657,8 @@ std::string report_section_key(const Options& opt, const net::Graph& graph,
 /// full observability stack attached, merged into a single schema-versioned
 /// document. Everything recorded is seed-deterministic (no wall-clock, no
 /// thread counts), so the file is byte-identical for any --threads value.
-///
-/// With a store, each section is read through the result cache: a hit
-/// splices the sealed fragment back into the document (Section::render /
-/// add_rendered_section keep the bytes identical to a fresh render); a miss
-/// runs, renders, and seals. Cached and uncached invocations therefore
-/// write byte-for-byte the same file.
-int write_run_report(const net::Graph& graph, const Options& opt,
-                     const std::vector<AppEntry>& suite, cache::Store* store) {
+std::string render_run_report(const net::Graph& graph, const Options& opt,
+                              const std::vector<AppEntry>& suite) {
   obs::RunReport report("chaos_run");
   const std::vector<double> rates = {0.0, 0.05};
 
@@ -673,16 +667,6 @@ int write_run_report(const net::Graph& graph, const Options& opt,
   auto instrument = [&](const AppEntry& app, const std::string& section_name,
                         apps::NetOptions options,
                         const std::function<void(obs::RunReport::Section&)>& label) {
-    std::string key;
-    if (store != nullptr) {
-      key = report_section_key(opt, graph, section_name);
-      std::string fragment;
-      if (store->get(key, &fragment)) {
-        report.add_rendered_section(section_name, std::move(fragment));
-        return;
-      }
-    }
-
     net::Trace trace;
     obs::RoundProfiler profiler;
     options.trace = &trace;
@@ -708,7 +692,7 @@ int write_run_report(const net::Graph& graph, const Options& opt,
       load.observe(static_cast<double>(count));
     }
 
-    obs::RunReport::Section section(section_name);
+    obs::RunReport::Section& section = report.add_section(section_name);
     section.set_label("app", app.name);
     section.set_label("graph", opt.graph);
     section.set_label("nodes", std::to_string(graph.num_nodes()));
@@ -719,13 +703,6 @@ int write_run_report(const net::Graph& graph, const Options& opt,
     section.set_profile(profiler);
     section.set_trace(trace);
     section.set_metrics(metrics);
-
-    std::string fragment = section.render();
-    if (store != nullptr) {
-      std::string put_error;
-      (void)store->put(key, fragment, &put_error);  // best effort
-    }
-    report.add_rendered_section(section_name, std::move(fragment));
   };
 
   const net::NodeId victim = graph.num_nodes() / 2;
@@ -767,19 +744,35 @@ int write_run_report(const net::Graph& graph, const Options& opt,
                  });
     }
   }
-  std::string json = report.to_json();
-  std::string error;
-  if (!obs::json_valid(json, &error)) {
-    std::fprintf(stderr, "chaos_run: generated report is not valid JSON (%s)\n",
-                 error.c_str());
+  return report.to_json();
+}
+
+/// Write the --report document to opt.report. With a store the whole
+/// document is read through the result cache: a hit writes the sealed bytes,
+/// a miss renders, validates, and seals them — so cached and uncached
+/// invocations write byte-for-byte the same file.
+int write_run_report(const net::Graph& graph, const Options& opt,
+                     const std::vector<AppEntry>& suite, cache::Store* store) {
+  const std::string key = store != nullptr ? report_cache_key(opt, graph) : "";
+  std::string json;
+  if (store == nullptr || !store->get(key, &json)) {
+    json = render_run_report(graph, opt, suite);
+    std::string error;
+    if (!obs::json_valid(json, &error)) {
+      std::fprintf(stderr, "chaos_run: generated report is not valid JSON (%s)\n",
+                   error.c_str());
+      return 1;
+    }
+    std::string put_error;
+    if (store != nullptr) (void)store->put(key, json, &put_error);  // best effort
+  }
+  std::ofstream out(opt.report, std::ios::binary);
+  out << json;
+  if (!out.flush()) {
+    std::fprintf(stderr, "chaos_run: cannot write %s\n", opt.report.c_str());
     return 1;
   }
-  if (!report.write(opt.report, &error)) {
-    std::fprintf(stderr, "chaos_run: %s\n", error.c_str());
-    return 1;
-  }
-  std::printf("# run report: %s (%zu sections)\n", opt.report.c_str(),
-              report.sections().size());
+  std::printf("# run report: %s\n", opt.report.c_str());
   return 0;
 }
 
@@ -826,7 +819,7 @@ int main(int argc, char** argv) {
     // multi-phase (election + tree build + pipelined aggregation), the
     // richest recovery surface the suite has. The lane itself always
     // executes (its verdicts are about live behaviour under a watchdog);
-    // only the report sections read through the cache.
+    // only the report reads through the cache.
     const std::vector<AppEntry>& recovery_suite = apps::app_registry();
     int exit_code = run_recovery_lane(graph, opt, recovery_suite);
     if (!opt.report.empty()) {
