@@ -6,8 +6,14 @@
 // wall-clock scalar/active; `backend` encodes the dispatched Backend enum
 // (0 scalar, 1 avx2, 2 neon) — on a machine with no vector ISA both run
 // the same code and speedup sits at ~1.
+//
+// E-gatelevel — one gate-level Grover search (query/gate_level.hpp) per
+// iteration: the query layer's iterate driving the kernels, as paper-sweep
+// runs it. `gate_ops` is the iterate's op count, 2w + |marked| + 2; it is a
+// deterministic counter, so perf_gate fails on any drift in it.
 
 #include <chrono>
+#include <vector>
 
 #include <benchmark/benchmark.h>
 
@@ -15,6 +21,8 @@
 #include "src/quantum/gates.hpp"
 #include "src/quantum/kernels.hpp"
 #include "src/quantum/statevector.hpp"
+#include "src/query/gate_level.hpp"
+#include "src/util/rng.hpp"
 
 namespace {
 
@@ -43,7 +51,7 @@ double run_circuit_ns(unsigned qubits, const kernels::KernelOps& ops,
     for (unsigned q = 0; q + 1 < qubits; ++q) {
       ops.apply_pairs_controlled(amps.data(), amps.size(),
                                  std::size_t{1} << (q + 1), c(x),
-                                 BasisState{1} << q);
+                                 BasisState{1} << q, BasisState{1} << q);
     }
   }
   const auto end = std::chrono::steady_clock::now();
@@ -77,5 +85,18 @@ BENCHMARK(BM_DenseGateKernels)
     ->Arg(14)
     ->Arg(18)
     ->Iterations(1);
+
+void BM_GroverIterate(benchmark::State& state) {
+  const auto qubits = static_cast<unsigned>(state.range(0));
+  // Two marked states, each with zero bits.
+  const std::vector<BasisState> marked{5, (BasisState{1} << qubits) - 6};
+  util::Rng rng(14);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(query::gate_level_grover_search(qubits, marked, rng));
+  }
+  state.counters["gate_ops"] =
+      static_cast<double>(query::grover_iterate_circuit(qubits, marked).size());
+}
+BENCHMARK(BM_GroverIterate)->ArgName("qubits")->Arg(14)->Unit(benchmark::kMillisecond);
 
 }  // namespace

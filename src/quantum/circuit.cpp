@@ -5,20 +5,25 @@
 
 namespace qcongest::quantum {
 
-Circuit& Circuit::gate(const Gate1& g, unsigned target, std::string name) {
+Circuit& Circuit::gate(const Gate1& g, unsigned target) {
   if (target >= num_qubits_) throw std::invalid_argument("Circuit: target out of range");
-  ops_.push_back(Op{g, {}, target, std::move(name)});
+  ops_.push_back(Op{g, {}, target, 0});
   return *this;
 }
 
 Circuit& Circuit::controlled(const Gate1& g, std::vector<unsigned> controls,
-                             unsigned target, std::string name) {
+                             unsigned target, BasisState open_controls) {
   if (target >= num_qubits_) throw std::invalid_argument("Circuit: target out of range");
+  BasisState control_mask = 0;
   for (unsigned c : controls) {
     if (c >= num_qubits_) throw std::invalid_argument("Circuit: control out of range");
     if (c == target) throw std::invalid_argument("Circuit: control equals target");
+    control_mask |= BasisState{1} << c;
   }
-  ops_.push_back(Op{g, std::move(controls), target, std::move(name)});
+  if ((open_controls & ~control_mask) != 0) {
+    throw std::invalid_argument("Circuit: open control is not a control");
+  }
+  ops_.push_back(Op{g, std::move(controls), target, open_controls});
   return *this;
 }
 
@@ -34,8 +39,8 @@ Circuit Circuit::inverse() const {
   Circuit inv(num_qubits_);
   inv.ops_.reserve(ops_.size());
   for (auto it = ops_.rbegin(); it != ops_.rend(); ++it) {
-    inv.ops_.push_back(Op{gates::dagger(it->g), it->controls, it->target,
-                          it->name + "+"});
+    inv.ops_.push_back(
+        Op{gates::dagger(it->g), it->controls, it->target, it->open_controls});
   }
   return inv;
 }
@@ -54,7 +59,6 @@ Circuit Circuit::controlled_on(unsigned control) const {
     }
     Op c = op;
     c.controls.push_back(control);
-    c.name = "c-" + c.name;
     out.ops_.push_back(std::move(c));
   }
   return out;
@@ -70,6 +74,7 @@ Circuit Circuit::embedded(unsigned new_width, unsigned offset) const {
     Op shifted = op;
     shifted.target += offset;
     for (unsigned& c : shifted.controls) c += offset;
+    shifted.open_controls <<= offset;
     out.ops_.push_back(std::move(shifted));
   }
   return out;
@@ -83,7 +88,7 @@ void Circuit::apply_to(Statevector& state) const {
     if (op.controls.empty()) {
       state.apply(op.g, op.target);
     } else {
-      state.apply_controlled(op.g, op.controls, op.target);
+      state.apply_controlled(op.g, op.controls, op.target, op.open_controls);
     }
   }
 }

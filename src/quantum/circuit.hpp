@@ -1,6 +1,5 @@
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "src/quantum/gates.hpp"
@@ -18,26 +17,27 @@ class Circuit {
   unsigned num_qubits() const { return num_qubits_; }
   std::size_t size() const { return ops_.size(); }
 
-  Circuit& gate(const Gate1& g, unsigned target, std::string name = "u");
+  Circuit& gate(const Gate1& g, unsigned target);
+  /// `g` on `target`, controlled on every qubit in `controls`: a control
+  /// fires on |1>, or on |0> when its bit is set in `open_controls` (a mask
+  /// over qubit indices, which must name only qubits in `controls`).
   Circuit& controlled(const Gate1& g, std::vector<unsigned> controls, unsigned target,
-                      std::string name = "cu");
+                      BasisState open_controls = 0);
 
-  Circuit& h(unsigned q) { return gate(gates::hadamard(), q, "h"); }
-  Circuit& x(unsigned q) { return gate(gates::pauli_x(), q, "x"); }
-  Circuit& y(unsigned q) { return gate(gates::pauli_y(), q, "y"); }
-  Circuit& z(unsigned q) { return gate(gates::pauli_z(), q, "z"); }
-  Circuit& rz(unsigned q, double theta) { return gate(gates::rz(theta), q, "rz"); }
-  Circuit& ry(unsigned q, double theta) { return gate(gates::ry(theta), q, "ry"); }
-  Circuit& phase(unsigned q, double phi) { return gate(gates::phase(phi), q, "p"); }
-  Circuit& cnot(unsigned c, unsigned t) {
-    return controlled(gates::pauli_x(), {c}, t, "cx");
-  }
-  Circuit& cz(unsigned c, unsigned t) { return controlled(gates::pauli_z(), {c}, t, "cz"); }
+  Circuit& h(unsigned q) { return gate(gates::hadamard(), q); }
+  Circuit& x(unsigned q) { return gate(gates::pauli_x(), q); }
+  Circuit& y(unsigned q) { return gate(gates::pauli_y(), q); }
+  Circuit& z(unsigned q) { return gate(gates::pauli_z(), q); }
+  Circuit& rz(unsigned q, double theta) { return gate(gates::rz(theta), q); }
+  Circuit& ry(unsigned q, double theta) { return gate(gates::ry(theta), q); }
+  Circuit& phase(unsigned q, double phi) { return gate(gates::phase(phi), q); }
+  Circuit& cnot(unsigned c, unsigned t) { return controlled(gates::pauli_x(), {c}, t); }
+  Circuit& cz(unsigned c, unsigned t) { return controlled(gates::pauli_z(), {c}, t); }
   Circuit& cphase(unsigned c, unsigned t, double phi) {
-    return controlled(gates::phase(phi), {c}, t, "cp");
+    return controlled(gates::phase(phi), {c}, t);
   }
   Circuit& ccx(unsigned c1, unsigned c2, unsigned t) {
-    return controlled(gates::pauli_x(), {c1, c2}, t, "ccx");
+    return controlled(gates::pauli_x(), {c1, c2}, t);
   }
   Circuit& swap(unsigned a, unsigned b) {
     cnot(a, b);
@@ -51,9 +51,9 @@ class Circuit {
   /// The adjoint circuit: gates reversed and conjugate-transposed.
   Circuit inverse() const;
 
-  /// The circuit with `control` added as an extra control to every
-  /// operation (controlled-(AB) = controlled-A controlled-B). `control`
-  /// must not appear in any existing operation.
+  /// The circuit with `control` added as an extra control, firing on |1>,
+  /// to every operation (controlled-(AB) = controlled-A controlled-B).
+  /// `control` must not appear in any existing operation.
   Circuit controlled_on(unsigned control) const;
 
   /// The same circuit re-indexed into a wider register: qubit q becomes
@@ -70,7 +70,7 @@ class Circuit {
     Gate1 g;
     std::vector<unsigned> controls;
     unsigned target;
-    std::string name;
+    BasisState open_controls;  // controls that fire on |0>, by qubit bit
   };
 
   unsigned num_qubits_;

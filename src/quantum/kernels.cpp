@@ -29,12 +29,13 @@ void scalar_pairs(Amplitude* amps, std::size_t dim, std::size_t stride,
 
 void scalar_pairs_controlled(Amplitude* amps, std::size_t dim,
                              std::size_t stride, const Gate1Coeffs& g,
-                             BasisState control_mask) {
+                             BasisState control_mask,
+                             BasisState control_value) {
   for (std::size_t base = 0; base < dim; base += 2 * stride) {
     Amplitude* lo = amps + base;
     Amplitude* hi = lo + stride;
     for (std::size_t off = 0; off < stride; ++off) {
-      if (((base + off) & control_mask) != control_mask) continue;
+      if (((base + off) & control_mask) != control_value) continue;
       const Amplitude a0 = lo[off];
       const Amplitude a1 = hi[off];
       lo[off] = g.g00 * a0 + g.g01 * a1;

@@ -29,17 +29,21 @@ struct Gate1Coeffs {
 /// Contract shared by every backend (the scalar one is the oracle):
 ///  - identical pair coverage and update formula
 ///      lo' = g00*lo + g01*hi,  hi' = g10*lo + g11*hi
-///  - `control_mask` gates a pair on (base + off) & mask == mask; the mask
-///    never contains the target bit (callers validate).
+///  - `control_mask` and `control_value` gate a pair on
+///    (base + off) & mask == value, so a control fires on |1> where its bit
+///    is set in `value` and on |0> where it is clear; `value` is a subset of
+///    `mask`, and the mask never contains the target bit (callers validate).
 /// Vector backends may take structure fast paths (diagonal / antidiagonal
-/// gates skip the zero products) — amplitudes agree with the oracle to
-/// floating-point rounding, which the equivalence suite pins down.
+/// gates skip the zero products, controlled ops visit only the matching
+/// pairs) — amplitudes agree with the oracle to floating-point rounding,
+/// which the equivalence suite pins down.
 struct KernelOps {
   void (*apply_pairs)(Amplitude* amps, std::size_t dim, std::size_t stride,
                       const Gate1Coeffs& g);
   void (*apply_pairs_controlled)(Amplitude* amps, std::size_t dim,
                                  std::size_t stride, const Gate1Coeffs& g,
-                                 BasisState control_mask);
+                                 BasisState control_mask,
+                                 BasisState control_value);
 };
 
 /// The reference implementation — byte-for-byte the historical scalar

@@ -114,30 +114,40 @@ QC_AVX2 void avx2_pairs(Amplitude* amps, std::size_t dim, std::size_t stride,
 
 QC_AVX2 void avx2_pairs_controlled(Amplitude* amps, std::size_t dim,
                                    std::size_t stride, const Gate1Coeffs& g,
-                                   BasisState control_mask) {
-  // Split the mask around the target bit: bits above the run (constant
-  // across [base, base + stride)) gate whole runs; bits below vary with
-  // `off` and force the scalar formula inside the run. Controls above the
-  // target — cnot/ccx in ascending circuits, the common case — therefore
-  // vectorize fully.
+                                   BasisState control_mask,
+                                   BasisState control_value) {
+  // Split the mask and value around the target bit: bits above the run
+  // (constant across [base, base + stride)) gate whole runs; bits below
+  // vary with `off` and force the scalar formula inside the run. Controls
+  // above the target — cnot/ccx in ascending circuits, the common case —
+  // therefore vectorize fully.
   const BasisState mask_lo = control_mask & (stride - 1);
   const BasisState mask_hi = control_mask & ~(2 * stride - 1);
+  const BasisState value_lo = control_value & (stride - 1);
+  const BasisState value_hi = control_value & ~(2 * stride - 1);
+  // In-run offsets that match are exactly value_lo OR'd with a subset of
+  // the uncontrolled low bits, so the in-run branch enumerates those
+  // subsets instead of testing every offset: a phase flip controlled on
+  // every qubit below its target visits one pair, not 2^(w-1) offsets.
+  const BasisState free_lo = (stride - 1) & ~mask_lo;
   const __m256d g00r = bre(g.g00), g00i = bim(g.g00);
   const __m256d g01r = bre(g.g01), g01i = bim(g.g01);
   const __m256d g10r = bre(g.g10), g10i = bim(g.g10);
   const __m256d g11r = bre(g.g11), g11i = bim(g.g11);
   for (std::size_t base = 0; base < dim; base += 2 * stride) {
-    if ((base & mask_hi) != mask_hi) continue;
+    if ((base & mask_hi) != value_hi) continue;
     Amplitude* lo = amps + base;
     Amplitude* hi = lo + stride;
     if (mask_lo != 0) {
-      for (std::size_t off = 0; off < stride; ++off) {
-        if ((off & mask_lo) != mask_lo) continue;
+      BasisState subset = 0;
+      do {
+        const BasisState off = subset | value_lo;
         const Amplitude a0 = lo[off];
         const Amplitude a1 = hi[off];
         lo[off] = g.g00 * a0 + g.g01 * a1;
         hi[off] = g.g10 * a0 + g.g11 * a1;
-      }
+        subset = (subset - free_lo) & free_lo;  // next subset, ascending
+      } while (subset != 0);
       continue;
     }
     if (stride == 1) {

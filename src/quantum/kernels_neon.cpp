@@ -45,7 +45,8 @@ void neon_pairs(Amplitude* amps, std::size_t dim, std::size_t stride,
 }
 
 void neon_pairs_controlled(Amplitude* amps, std::size_t dim, std::size_t stride,
-                           const Gate1Coeffs& g, BasisState control_mask) {
+                           const Gate1Coeffs& g, BasisState control_mask,
+                           BasisState control_value) {
   const float64x2_t sign = {-1.0, 1.0};
   const float64x2_t g00r = vdupq_n_f64(g.g00.real()), g00i = vdupq_n_f64(g.g00.imag());
   const float64x2_t g01r = vdupq_n_f64(g.g01.real()), g01i = vdupq_n_f64(g.g01.imag());
@@ -55,7 +56,7 @@ void neon_pairs_controlled(Amplitude* amps, std::size_t dim, std::size_t stride,
     Amplitude* lo = amps + base;
     Amplitude* hi = lo + stride;
     for (std::size_t off = 0; off < stride; ++off) {
-      if (((base + off) & control_mask) != control_mask) continue;
+      if (((base + off) & control_mask) != control_value) continue;
       const float64x2_t a0 = vld1q_f64(reinterpret_cast<double*>(lo + off));
       const float64x2_t a1 = vld1q_f64(reinterpret_cast<double*>(hi + off));
       vst1q_f64(reinterpret_cast<double*>(lo + off),

@@ -68,7 +68,8 @@ void Statevector::apply(const Gate1& gate, unsigned target) {
 
 void Statevector::apply_controlled(const Gate1& gate,
                                    std::span<const unsigned> controls,
-                                   unsigned target) {
+                                   unsigned target,
+                                   BasisState open_controls) {
   check_qubit(target);
   BasisState control_mask = 0;
   for (unsigned c : controls) {
@@ -76,11 +77,13 @@ void Statevector::apply_controlled(const Gate1& gate,
     if (c == target) throw std::invalid_argument("control equals target");
     control_mask |= BasisState{1} << c;
   }
+  if ((open_controls & ~control_mask) != 0) {
+    throw std::invalid_argument("open control is not a control");
+  }
   const kernels::Gate1Coeffs g{gate(0, 0), gate(0, 1), gate(1, 0), gate(1, 1)};
-  kernels::active_ops().apply_pairs_controlled(amplitudes_.data(),
-                                               amplitudes_.size(),
-                                               std::size_t{1} << target, g,
-                                               control_mask);
+  kernels::active_ops().apply_pairs_controlled(
+      amplitudes_.data(), amplitudes_.size(), std::size_t{1} << target, g,
+      control_mask, control_mask & ~open_controls);
 }
 
 void Statevector::cnot(unsigned control, unsigned target) {

@@ -50,9 +50,11 @@ class Statevector {
 
   void apply(const Gate1& gate, unsigned target);
 
-  /// Gate applied to `target`, controlled on every qubit in `controls` being 1.
+  /// Gate applied to `target`, controlled on every qubit in `controls`: a
+  /// control fires on |1>, or on |0> when its bit is set in `open_controls`
+  /// (a mask over qubit indices, which must name only qubits in `controls`).
   void apply_controlled(const Gate1& gate, std::span<const unsigned> controls,
-                        unsigned target);
+                        unsigned target, BasisState open_controls = 0);
 
   void h(unsigned q) { apply(gates::hadamard(), q); }
   void x(unsigned q) { apply(gates::pauli_x(), q); }

@@ -1,5 +1,6 @@
 #include "src/query/gate_level.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -16,33 +17,38 @@ using quantum::Circuit;
 
 namespace {
 
-/// Phase-flip of the single basis state `s` on qubits [0, width):
-/// X-conjugate so that s maps to |1...1>, then apply a (width-1)-controlled Z.
+/// diag(-1, 1) = X Z X: negates |0>, as Z negates |1>.
+const quantum::Gate1 kFlipZero{{quantum::Amplitude{-1, 0}, {0, 0}, {0, 0}, {1, 0}}};
+/// -I: the iterate's global -1 as one gate.
+const quantum::Gate1 kMinusIdentity{{quantum::Amplitude{-1, 0}, {0, 0}, {0, 0}, {-1, 0}}};
+
+/// Phase-flip of the single basis state `s` on qubits [0, width) as one op:
+/// Z (s's top bit is 1) or diag(-1, 1) (it is 0) on the top qubit,
+/// controlled on qubits [0, width - 1) with a control firing on |0> wherever
+/// s has a 0 bit. At width 1 there are no controls: the op is the gate alone.
 void append_flip_of_state(Circuit& c, unsigned width, BasisState s) {
-  for (unsigned q = 0; q < width; ++q) {
-    if (((s >> q) & 1) == 0) c.x(q);
-  }
-  if (width == 1) {
-    c.z(0);
-  } else {
-    std::vector<unsigned> controls;
-    for (unsigned q = 0; q + 1 < width; ++q) controls.push_back(q);
-    c.controlled(quantum::gates::pauli_z(), controls, width - 1, "mcz");
-  }
-  for (unsigned q = 0; q < width; ++q) {
-    if (((s >> q) & 1) == 0) c.x(q);
-  }
+  const unsigned top = width - 1;
+  const quantum::Gate1 flip =
+      ((s >> top) & 1) != 0 ? quantum::gates::pauli_z() : kFlipZero;
+  std::vector<unsigned> controls;
+  for (unsigned q = 0; q < top; ++q) controls.push_back(q);
+  const BasisState low_bits = (BasisState{1} << top) - 1;
+  c.controlled(flip, std::move(controls), top, ~s & low_bits);
 }
 
 }  // namespace
 
 Circuit phase_flip_circuit(unsigned width, const std::vector<BasisState>& marked) {
   Circuit c(width);
-  for (BasisState s : marked) {
-    if (s >= (BasisState{1} << width)) {
+  for (auto it = marked.begin(); it != marked.end(); ++it) {
+    if (*it >= (BasisState{1} << width)) {
       throw std::invalid_argument("phase_flip_circuit: state out of range");
     }
-    append_flip_of_state(c, width, s);
+    // A second flip of the same state would undo the first.
+    if (std::find(marked.begin(), it, *it) != it) {
+      throw std::invalid_argument("phase_flip_circuit: duplicate marked state");
+    }
+    append_flip_of_state(c, width, *it);
   }
   return c;
 }
@@ -59,8 +65,8 @@ Circuit amplification_iterate_circuit(const Circuit& prep,
   append_flip_of_state(c, width, 0);
   // A
   c.append(prep);
-  // Global -1 (X Z X Z = -I on one qubit), so controlled-Q is exact.
-  c.x(0).z(0).x(0).z(0);
+  // Global -1, so controlled-Q is exact.
+  c.gate(kMinusIdentity, 0);
   return c;
 }
 

@@ -17,7 +17,9 @@ namespace qcongest::query {
 /// amplification, phase estimation, amplitude estimation).
 
 /// Phase-flip oracle S_f on `width` qubits: |s> -> -|s> for s in `marked`,
-/// built from X-conjugated multi-controlled Z gates.
+/// one open-controlled gate per marked state (controls fire on |0> where
+/// the state has a 0 bit). Throws std::invalid_argument on a state outside
+/// [0, 2^width) or a repeated state (two flips of one state cancel).
 quantum::Circuit phase_flip_circuit(unsigned width,
                                     const std::vector<quantum::BasisState>& marked);
 

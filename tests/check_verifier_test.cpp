@@ -269,7 +269,7 @@ TEST(QuantumChecks, UnitaryCircuitPasses) {
 
 TEST(QuantumChecks, NonUnitaryCircuitCaught) {
   quantum::Circuit circuit(2);
-  circuit.h(0).gate(shrink_gate(), 1, "shrink");
+  circuit.h(0).gate(shrink_gate(), 1);
   auto violation = check_circuit_unitary(circuit, "lossy");
   ASSERT_TRUE(violation.has_value());
   EXPECT_EQ(violation->kind, InvariantKind::kCircuitUnitarity);
@@ -286,7 +286,7 @@ TEST(Verifier, QuantumChecksLandInViolationList) {
   state.apply(shrink_gate(), 0);
   verifier.check_state(state, "seeded norm break");
   quantum::Circuit circuit(1);
-  circuit.gate(shrink_gate(), 0, "shrink");
+  circuit.gate(shrink_gate(), 0);
   verifier.check_circuit(circuit, "seeded non-unitary");
   EXPECT_FALSE(verifier.ok());
   EXPECT_TRUE(has_kind(verifier, InvariantKind::kStateNorm));

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
+#include <vector>
 
 #include "src/query/deutsch_jozsa.hpp"
 #include "src/query/gate_level.hpp"
@@ -14,6 +17,126 @@ namespace {
 
 using quantum::BasisState;
 using quantum::Circuit;
+
+/// The reference the one-op flips must match bit for bit, the X-conjugated
+/// phase flip: X on every qubit where s has a 0 bit, a Z on the top qubit
+/// controlled on every lower qubit being |1>, then the same X layer.
+Circuit x_conjugated_flip(unsigned width, const std::vector<BasisState>& marked) {
+  Circuit c(width);
+  for (BasisState s : marked) {
+    for (unsigned q = 0; q < width; ++q) {
+      if (((s >> q) & 1) == 0) c.x(q);
+    }
+    if (width == 1) {
+      c.z(0);
+    } else {
+      std::vector<unsigned> controls;
+      for (unsigned q = 0; q + 1 < width; ++q) controls.push_back(q);
+      c.controlled(quantum::gates::pauli_z(), controls, width - 1);
+    }
+    for (unsigned q = 0; q < width; ++q) {
+      if (((s >> q) & 1) == 0) c.x(q);
+    }
+  }
+  return c;
+}
+
+/// The Grover iterate built from x_conjugated_flip, with the global -1 as
+/// X Z X Z.
+Circuit x_conjugated_grover_iterate(unsigned width,
+                                    const std::vector<BasisState>& marked) {
+  Circuit prep(width);
+  for (unsigned q = 0; q < width; ++q) prep.h(q);
+  Circuit c(width);
+  c.append(x_conjugated_flip(width, marked));
+  c.append(prep.inverse());
+  c.append(x_conjugated_flip(width, {0}));
+  c.append(prep);
+  c.x(0).z(0).x(0).z(0);
+  return c;
+}
+
+/// Probabilities after `circuit` runs on a seeded dense state and an H layer
+/// turns the phases it wrote into probabilities.
+std::vector<double> probabilities_after(const Circuit& circuit, std::uint64_t seed) {
+  const unsigned width = circuit.num_qubits();
+  util::Rng rng(seed);
+  Circuit prep(width);
+  for (unsigned q = 0; q < width; ++q) prep.ry(q, 0.2 + 2.5 * rng.uniform());
+  for (unsigned q = 0; q + 1 < width; ++q) prep.cnot(q, q + 1);
+  quantum::Statevector state = prep.simulate();
+  circuit.apply_to(state);
+  state.h_all();
+  std::vector<double> probabilities(state.dimension());
+  for (BasisState b = 0; b < state.dimension(); ++b) {
+    probabilities[b] = state.probability(b);
+  }
+  return probabilities;
+}
+
+void expect_same_probability_bytes(const Circuit& got, const Circuit& want,
+                                   std::uint64_t seed, const std::string& label) {
+  const std::vector<double> a = probabilities_after(got, seed);
+  const std::vector<double> b = probabilities_after(want, seed);
+  ASSERT_EQ(a.size(), b.size()) << label;
+  EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)), 0) << label;
+}
+
+/// S_f and the Grover iterate against the X-conjugated reference: directly,
+/// inverted, and embedded under one more control (amplitude estimation's
+/// controlled powers).
+void expect_matches_x_conjugated(unsigned width, const std::vector<BasisState>& marked,
+                                 std::uint64_t seed) {
+  const std::string where = "width " + std::to_string(width) + " first marked " +
+                            std::to_string(marked.front());
+  const std::pair<Circuit, Circuit> pairs[] = {
+      {phase_flip_circuit(width, marked), x_conjugated_flip(width, marked)},
+      {grover_iterate_circuit(width, marked), x_conjugated_grover_iterate(width, marked)},
+  };
+  for (const auto& [got, want] : pairs) {
+    expect_same_probability_bytes(got, want, seed, where);
+    expect_same_probability_bytes(got.inverse(), want.inverse(), seed,
+                                  where + " inverse");
+    expect_same_probability_bytes(got.embedded(width + 1, 0).controlled_on(width),
+                                  want.embedded(width + 1, 0).controlled_on(width),
+                                  seed, where + " controlled");
+  }
+}
+
+TEST(PhaseFlip, BitIdenticalToXConjugatedReference) {
+  for (unsigned width = 1; width <= 8; ++width) {
+    for (BasisState s = 0; s < (BasisState{1} << width); ++s) {
+      expect_matches_x_conjugated(width, {s}, 100 * width + s);
+    }
+  }
+  util::Rng rng(12);
+  for (std::uint64_t seed = 0; seed < 6; ++seed) {
+    const BasisState first = rng.index(4096);
+    std::vector<BasisState> marked{first};
+    if (seed % 2 == 1) marked.push_back((first + 1 + rng.index(4095)) % 4096);
+    expect_matches_x_conjugated(12, marked, seed);
+  }
+}
+
+TEST(PhaseFlip, OneOpPerMarkedState) {
+  for (unsigned width : {1u, 4u, 16u}) {
+    for (const std::vector<BasisState>& marked :
+         {std::vector<BasisState>{0}, std::vector<BasisState>{0, 1}}) {
+      EXPECT_EQ(phase_flip_circuit(width, marked).size(), marked.size());
+      EXPECT_EQ(grover_iterate_circuit(width, marked).size(),
+                2 * width + marked.size() + 2);
+    }
+  }
+}
+
+TEST(PhaseFlip, RejectsDuplicateAndOutOfRangeStates) {
+  EXPECT_THROW(phase_flip_circuit(3, {2, 5, 2}), std::invalid_argument);
+  EXPECT_THROW(phase_flip_circuit(3, {8}), std::invalid_argument);
+  // A repeated state would cancel its own flip while still counting in the
+  // iteration count; the search refuses it instead.
+  util::Rng rng(26);
+  EXPECT_THROW(gate_level_grover_search(4, {3, 3}, rng), std::invalid_argument);
+}
 
 TEST(PhaseFlip, FlipsExactlyMarkedStates) {
   quantum::Statevector sv(3);

@@ -5,7 +5,8 @@
 // supports is swept against it over qubit counts 1-12, every gate shape
 // (generic, diagonal, antidiagonal, rotation), every target position
 // (which exercises the unaligned stride-1 lane path and every strided
-// width), and control sets above, below, and straddling the target.
+// width), control sets above, below, and straddling the target, and
+// control values that fire on |1>, on |0>, and on a mix of both.
 //
 // Vector backends mirror the oracle's per-operation rounding (multiply
 // then add/sub, never FMA), so agreement is expected at machine precision;
@@ -127,19 +128,30 @@ TEST(KernelEquivalence, ControlledEveryMaskShape) {
         control_sets.push_back(all);
         for (const auto& controls : control_sets) {
           BasisState mask = 0;
-          for (unsigned c : controls) mask |= BasisState{1} << c;
-          auto oracle = base;
-          kernels::scalar_ops().apply_pairs_controlled(
-              oracle.data(), oracle.size(), std::size_t{1} << target, g, mask);
-          for (const auto& [bname, ops] : backends) {
-            auto vec = base;
-            ops->apply_pairs_controlled(vec.data(), vec.size(),
-                                        std::size_t{1} << target, g, mask);
-            SCOPED_TRACE(std::string(bname) + " c" + gname + " q" +
-                         std::to_string(qubits) + " t" +
-                         std::to_string(target) + " mask" +
-                         std::to_string(mask));
-            expect_close(vec, oracle, bname);
+          BasisState alternating = 0;  // every other control fires on |1>
+          for (std::size_t i = 0; i < controls.size(); ++i) {
+            mask |= BasisState{1} << controls[i];
+            if (i % 2 == 0) alternating |= BasisState{1} << controls[i];
+          }
+          // Control values: all on |1>, alternating, all on |0> — the
+          // whole-run and in-run paths each see matches at both ends.
+          for (const BasisState value : {mask, alternating, BasisState{0}}) {
+            auto oracle = base;
+            kernels::scalar_ops().apply_pairs_controlled(
+                oracle.data(), oracle.size(), std::size_t{1} << target, g,
+                mask, value);
+            for (const auto& [bname, ops] : backends) {
+              auto vec = base;
+              ops->apply_pairs_controlled(vec.data(), vec.size(),
+                                          std::size_t{1} << target, g, mask,
+                                          value);
+              SCOPED_TRACE(std::string(bname) + " c" + gname + " q" +
+                           std::to_string(qubits) + " t" +
+                           std::to_string(target) + " mask" +
+                           std::to_string(mask) + " value" +
+                           std::to_string(value));
+              expect_close(vec, oracle, bname);
+            }
           }
         }
       }
@@ -168,7 +180,7 @@ TEST(KernelEquivalence, StatevectorLevelCircuitMatchesScalarKernels) {
     for (unsigned c : cs) mask |= BasisState{1} << c;
     kernels::scalar_ops().apply_pairs_controlled(mirror.data(), mirror.size(),
                                                  std::size_t{1} << target,
-                                                 coeffs(gate), mask);
+                                                 coeffs(gate), mask, mask);
   };
   for (unsigned q = 0; q < qubits; ++q) {
     sv.h(q);

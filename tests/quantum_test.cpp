@@ -150,6 +150,56 @@ TEST(Circuit, RejectsOutOfRangeQubits) {
   EXPECT_THROW(c.cnot(1, 1), std::invalid_argument);
 }
 
+TEST(Statevector, OpenControlsFireOnZero) {
+  // X on qubit 2, controlled on qubit 0 = 1 and qubit 1 = 0 (open): only
+  // basis states with bits (q1, q0) = (0, 1) flip their qubit 2.
+  const unsigned controls[] = {0, 1};
+  for (BasisState b = 0; b < 8; ++b) {
+    Statevector sv(3, b);
+    sv.apply_controlled(gates::pauli_x(), controls, 2, BasisState{1} << 1);
+    const BasisState expected = (b & 0b011) == 0b001 ? b ^ 0b100 : b;
+    EXPECT_NEAR(sv.probability(expected), 1.0, kTol) << "b=" << b;
+  }
+  Statevector sv(3);
+  EXPECT_THROW(sv.apply_controlled(gates::pauli_x(), controls, 2, BasisState{1} << 2),
+               std::invalid_argument);
+}
+
+TEST(Circuit, OpenControlsSurviveInverseEmbedAndControl) {
+  // Z on qubit 1 controlled on qubit 0 = 0 negates exactly |10>; Ry on
+  // qubit 0 controlled on qubit 1 = 0 rotates only the |0x> pair.
+  Circuit c(2);
+  EXPECT_THROW(c.controlled(gates::pauli_z(), {0}, 1, BasisState{1} << 1),
+               std::invalid_argument);
+  c.controlled(gates::pauli_z(), {0}, 1, BasisState{1} << 0);
+  c.controlled(gates::ry(0.6), {1}, 0, BasisState{1} << 1);
+  Circuit prep(2);
+  prep.h(0).h(1);
+  Statevector sv = prep.simulate();
+  c.apply_to(sv);
+  EXPECT_NEAR(sv.amplitude(0b10).real(), -0.5, kTol);
+  EXPECT_NEAR(sv.amplitude(0b11).real(), 0.5, kTol);
+  c.inverse().apply_to(sv);
+  EXPECT_NEAR(sv.fidelity(prep.simulate()), 1.0, kTol);
+
+  // Embedded at offset 1 with qubit 0 as an added control on |1>: the open
+  // controls move with their qubits, the new control fires on |1> only.
+  Circuit lifted = c.embedded(3, 1).controlled_on(0);
+  for (BasisState b = 0; b < 8; ++b) {
+    Statevector got(3, b);
+    lifted.apply_to(got);
+    Statevector want(3, b);
+    if ((b & 1) != 0) c.embedded(3, 1).apply_to(want);
+    for (BasisState k = 0; k < 8; ++k) {
+      EXPECT_NEAR(std::abs(got.amplitude(k) - want.amplitude(k)), 0.0, kTol)
+          << "b=" << b << " k=" << k;
+    }
+  }
+  Statevector negated(3, 0b101);  // control on, c's input |10>
+  lifted.apply_to(negated);
+  EXPECT_NEAR(negated.amplitude(0b101).real(), -1.0, kTol);
+}
+
 TEST(Oracle, BitOracleMarksCorrectIndex) {
   // 2-qubit index register, 1 answer qubit. f(i) = (i == 2).
   Statevector sv(3);

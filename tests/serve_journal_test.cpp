@@ -11,6 +11,7 @@
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <string>
 #include <vector>
 
@@ -596,12 +597,21 @@ TEST(JournalService, IdenticalInflightSubmissionsCoalesce) {
       replies.fetch_add(1);
     };
   };
-  service.submit(probe_spec("blocker", 12, 1), reply_into(0));
+  // The blocker's reply runs on the worker thread, so holding it there until
+  // both probes are submitted keeps probe-a queued while probe-b arrives —
+  // the blocker job itself finishes far too fast to hold the worker.
+  std::promise<void> probes_submitted;
+  std::shared_future<void> both_in = probes_submitted.get_future().share();
+  service.submit(probe_spec("blocker", 12, 1), [&, both_in](const JobReply& reply) {
+    both_in.wait();
+    reply_into(0)(reply);
+  });
   const std::string probe = probe_spec("probe-a", 8, 2);
   const std::string probe_same_key =
       probe_spec("probe-b", 8, 2);  // different id, same semantics
   service.submit(probe, reply_into(1));
   service.submit(probe_same_key, reply_into(2));
+  probes_submitted.set_value();
   while (replies.load() < 3) {
   }
 

@@ -8,11 +8,11 @@
 //     (default 1e6 ns) in the baseline are skipped — sub-millisecond
 //     timings are noise, not signal.
 //   * deterministic counters (rounds, batches, measured, bound,
-//     retransmissions): any drift at all fails. These are seeded round
-//     counts, identical on every machine, so they catch algorithmic cost
-//     regressions even when the runner is faster than the machine that
-//     recorded the baseline (which makes the wall-clock gate lenient,
-//     never spurious).
+//     retransmissions, gate_ops): any drift at all fails. These are seeded
+//     round counts and circuit sizes, identical on every machine, so they
+//     catch algorithmic cost regressions even when the runner is faster
+//     than the machine that recorded the baseline (which makes the
+//     wall-clock gate lenient, never spurious).
 //
 // With --report the two files are REPORT_*.json run reports instead
 // (src/obs/run_report.hpp): schema-versioned documents whose determinism
@@ -58,10 +58,11 @@ struct BenchRun {
   std::map<std::string, double> counters;  // every other numeric field
 };
 
-/// Counters that are deterministic functions of the seed (round counts and
-/// ledger totals), so any drift is a real behavioural change, not noise.
-const char* kExactCounters[] = {"measured", "bound",   "ratio",
-                                "rounds",   "batches", "retransmissions"};
+/// Counters that are deterministic functions of the seed (round counts,
+/// ledger totals, circuit op counts), so any drift is a real behavioural
+/// change, not noise.
+const char* kExactCounters[] = {"measured", "bound",           "ratio",   "rounds",
+                                "batches",  "retransmissions", "gate_ops"};
 
 bool exact_counter(const std::string& name) {
   for (const char* c : kExactCounters) {
