@@ -5,19 +5,26 @@
 // single tracked ratio rather than a claim. The `speedup` counter is
 // wall-clock scalar/active; `backend` encodes the dispatched Backend enum
 // (0 scalar, 1 avx2, 2 neon) — on a machine with no vector ISA both run
-// the same code and speedup sits at ~1.
+// the same code and speedup sits at ~1. Outside the timed region the final
+// active and scalar vectors are diffed; a gap above 1e-13 fails the run
+// (SkipWithError), and json_main then exits non-zero.
 //
 // E-gatelevel — one gate-level Grover search (query/gate_level.hpp) per
 // iteration: the query layer's iterate driving the kernels, as paper-sweep
-// runs it. `gate_ops` is the iterate's op count, 2w + |marked| + 2; it is a
-// deterministic counter, so perf_gate fails on any drift in it.
+// runs it. `gate_ops` is the iterate's op count, 2w + |marked| + 2, and
+// `gate_passes` the kernel calls Circuit::apply_to makes for it,
+// w + |marked| + 2 (the H layers go two gates per sweep). Both are
+// deterministic counters, so perf_gate fails on any drift in them.
 
+#include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <vector>
 
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_util.hpp"
+#include "src/quantum/circuit.hpp"
 #include "src/quantum/gates.hpp"
 #include "src/quantum/kernels.hpp"
 #include "src/quantum/statevector.hpp"
@@ -29,10 +36,11 @@ namespace {
 using namespace qcongest;
 using namespace qcongest::quantum;
 
-/// One brickwork layer sweep over every qubit with the given kernel table.
+/// One brickwork layer sweep over every qubit with the given kernel table,
+/// from |0...0> into `amps`.
 double run_circuit_ns(unsigned qubits, const kernels::KernelOps& ops,
-                      int layers) {
-  std::vector<Amplitude> amps(std::size_t{1} << qubits, Amplitude{0, 0});
+                      int layers, std::vector<Amplitude>& amps) {
+  amps.assign(std::size_t{1} << qubits, Amplitude{0, 0});
   amps[0] = Amplitude{1, 0};
   const auto h = gates::hadamard();
   const auto t = gates::t();
@@ -65,13 +73,22 @@ void BM_DenseGateKernels(benchmark::State& state) {
   const auto qubits = static_cast<unsigned>(state.range(0));
   const int layers = 8;
   double active_ns = 0, scalar_ns = 0;
+  std::vector<Amplitude> active, scalar;
   for (auto _ : state) {
     active_ns = bench::median_of(5, [&] {
-      return run_circuit_ns(qubits, kernels::active_ops(), layers);
+      return run_circuit_ns(qubits, kernels::active_ops(), layers, active);
     });
     scalar_ns = bench::median_of(5, [&] {
-      return run_circuit_ns(qubits, kernels::scalar_ops(), layers);
+      return run_circuit_ns(qubits, kernels::scalar_ops(), layers, scalar);
     });
+  }
+  double gap = 0.0;
+  for (std::size_t i = 0; i < active.size(); ++i) {
+    gap = std::max({gap, std::abs(active[i].real() - scalar[i].real()),
+                    std::abs(active[i].imag() - scalar[i].imag())});
+  }
+  if (gap > 1e-13) {
+    state.SkipWithError("active backend disagrees with the scalar oracle");
   }
   state.counters["active_ns"] = active_ns;
   state.counters["scalar_ns"] = scalar_ns;
@@ -94,8 +111,10 @@ void BM_GroverIterate(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(query::gate_level_grover_search(qubits, marked, rng));
   }
-  state.counters["gate_ops"] =
-      static_cast<double>(query::grover_iterate_circuit(qubits, marked).size());
+  const Circuit iterate = query::grover_iterate_circuit(qubits, marked);
+  Statevector probe(qubits);
+  state.counters["gate_ops"] = static_cast<double>(iterate.size());
+  state.counters["gate_passes"] = static_cast<double>(iterate.apply_to(probe));
 }
 BENCHMARK(BM_GroverIterate)->ArgName("qubits")->Arg(14)->Unit(benchmark::kMillisecond);
 

@@ -13,6 +13,11 @@
 // additionally get a REPORT_<binary>.json: a schema-versioned, fully
 // deterministic document (no timings) that CI byte-compares across runs.
 //
+// A run that called SkipWithError is left out of the JSON and makes the
+// binary exit 1 after both documents are written, so a bench that checks
+// its own result (BM_DenseGateKernels diffs the SIMD and scalar kernels)
+// fails the CI step that runs it.
+//
 // This replaces benchmark::benchmark_main because the library version we
 // build against has no per-run name hook usable from inside a benchmark
 // body; a reporter subclass is the supported way to see final run results.
@@ -120,5 +125,12 @@ int main(int argc, char** argv) {
   write_json(binary, reporter.collected);
   write_report(binary);
   benchmark::Shutdown();
-  return 0;
+  int status = 0;
+  for (const auto& run : reporter.collected) {
+    if (!run.error_occurred) continue;
+    std::cerr << "error: " << run.benchmark_name() << ": " << run.error_message
+              << "\n";
+    status = 1;
+  }
+  return status;
 }

@@ -842,7 +842,8 @@ void check_untrusted_narrowing(RuleCtx& ctx) {
 
 /// The per-word / per-amplitude functions: Engine's round loop runs these
 /// tens of thousands of times per trial, Statevector::apply* once per gate
-/// per 2^q amplitudes. A heap allocation here is an allocator round-trip
+/// per 2^q amplitudes, and Circuit::apply_to's pairing loop once per op of
+/// every Grover iterate. A heap allocation here is an allocator round-trip
 /// multiplied by the hottest loop in the repo — the arena/pooling work of
 /// DESIGN.md §13 exists to keep these allocation-free. Cold setup (the
 /// constructor, set_*, run() initialization) allocates freely; `grow_fill`
@@ -857,16 +858,18 @@ const HotFn kHotFns[] = {
     {"Engine", "run_pass_serial"},  {"Engine", "run_pass_parallel"},
     {"Engine", "scatter_inboxes"},  {"Engine", "reset_delivery_buffers"},
     {"Statevector", "apply"},       {"Statevector", "apply_controlled"},
-    {"Statevector", "cnot"},        {"Statevector", "cz"},
-    {"Statevector", "ccx"},         {"Statevector", "swap_qubits"},
-    {"Statevector", "h_all"},
+    {"Statevector", "apply_pair"},  {"Statevector", "cnot"},
+    {"Statevector", "cz"},          {"Statevector", "ccx"},
+    {"Statevector", "swap_qubits"}, {"Statevector", "h_all"},
+    {"Circuit", "apply_to"},
 };
 
 void check_hot_path_alloc(RuleCtx& ctx) {
   const bool engine_tu = path_contains(ctx.path, "net/engine");
   const bool statevector_tu = path_contains(ctx.path, "quantum/statevector");
+  const bool circuit_tu = path_contains(ctx.path, "quantum/circuit");
   const bool kernels_tu = path_contains(ctx.path, "quantum/kernels");
-  if (!engine_tu && !statevector_tu && !kernels_tu) return;
+  if (!engine_tu && !statevector_tu && !circuit_tu && !kernels_tu) return;
   const std::vector<Token>& code = ctx.code;
 
   // Receivers whose capacity is managed somewhere in this TU: a reserve /
@@ -922,11 +925,11 @@ void check_hot_path_alloc(RuleCtx& ctx) {
   auto flag = [&](std::size_t line, const std::string& what) {
     ctx.flag(line, "hot-path-alloc",
              what + " in a per-word/per-amplitude hot path (Engine round "
-                   "loop, Statevector::apply*, kernels): an allocator "
-                   "round-trip multiplied by the hottest loop in the repo — "
-                   "use the pass arena / pooled buffers (DESIGN.md §13), "
-                   "reserve up front, or qlint-allow a genuinely cold branch "
-                   "with a reason");
+                   "loop, Statevector::apply*, Circuit::apply_to, kernels): "
+                   "an allocator round-trip multiplied by the hottest loop "
+                   "in the repo — use the pass arena / pooled buffers "
+                   "(DESIGN.md §13), reserve up front, or qlint-allow a "
+                   "genuinely cold branch with a reason");
   };
   for (const auto& [lo, hi] : hot) {
     for (std::size_t i = lo; i < hi; ++i) {

@@ -80,17 +80,24 @@ Circuit Circuit::embedded(unsigned new_width, unsigned offset) const {
   return out;
 }
 
-void Circuit::apply_to(Statevector& state) const {
+std::size_t Circuit::apply_to(Statevector& state) const {
   if (state.num_qubits() != num_qubits_) {
     throw std::invalid_argument("Circuit::apply_to: qubit count mismatch");
   }
-  for (const Op& op : ops_) {
-    if (op.controls.empty()) {
-      state.apply(op.g, op.target);
-    } else {
+  std::size_t calls = 0;
+  for (std::size_t i = 0; i < ops_.size(); ++i, ++calls) {
+    const Op& op = ops_[i];
+    if (!op.controls.empty()) {
       state.apply_controlled(op.g, op.controls, op.target, op.open_controls);
+    } else if (i + 1 < ops_.size() && ops_[i + 1].controls.empty() &&
+               ops_[i + 1].target != op.target) {
+      state.apply_pair(op.g, op.target, ops_[i + 1].g, ops_[i + 1].target);
+      ++i;
+    } else {
+      state.apply(op.g, op.target);
     }
   }
+  return calls;
 }
 
 Statevector Circuit::simulate() const {

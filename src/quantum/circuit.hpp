@@ -60,7 +60,12 @@ class Circuit {
   /// qubit q + offset of a `new_width`-qubit circuit.
   Circuit embedded(unsigned new_width, unsigned offset) const;
 
-  void apply_to(Statevector& state) const;
+  /// Run the ops in order on `state` and return the number of kernel calls
+  /// made. Ops i and i + 1 go to one Statevector::apply_pair call when both
+  /// are uncontrolled and their targets differ (pairing is greedy, from the
+  /// front); every controlled op and every unpaired gate is one call. The
+  /// result is byte-identical to applying the ops one at a time.
+  std::size_t apply_to(Statevector& state) const;
 
   /// Run on |0...0> and return the resulting state.
   Statevector simulate() const;

@@ -44,7 +44,15 @@ void scalar_pairs_controlled(Amplitude* amps, std::size_t dim,
   }
 }
 
-constexpr KernelOps kScalarOps{scalar_pairs, scalar_pairs_controlled};
+void scalar_pairs2(Amplitude* amps, std::size_t dim, std::size_t stride_a,
+                   const Gate1Coeffs& ga, std::size_t stride_b,
+                   const Gate1Coeffs& gb) {
+  scalar_pairs(amps, dim, stride_a, ga);
+  scalar_pairs(amps, dim, stride_b, gb);
+}
+
+constexpr KernelOps kScalarOps{scalar_pairs, scalar_pairs_controlled,
+                               scalar_pairs2};
 
 Backend detect_backend() {
   if (avx2_ops_or_null() != nullptr) return Backend::kAvx2;

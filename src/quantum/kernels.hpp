@@ -21,7 +21,7 @@ struct Gate1Coeffs {
   Amplitude g00, g01, g10, g11;
 };
 
-/// One statevector kernel backend. Both entry points walk the strided
+/// One statevector kernel backend. Every entry point walks the strided
 /// pair layout of a target-qubit gate: for `base` stepping by 2*stride
 /// through `dim`, the pair arrays are lo = amps + base, hi = lo + stride,
 /// and each (lo[off], hi[off]) pair maps through the 2x2 unitary.
@@ -33,10 +33,18 @@ struct Gate1Coeffs {
 ///    (base + off) & mask == value, so a control fires on |1> where its bit
 ///    is set in `value` and on |0> where it is clear; `value` is a subset of
 ///    `mask`, and the mask never contains the target bit (callers validate).
+///  - `apply_pairs2` is gate `ga` at `stride_a`, then gate `gb` at
+///    `stride_b` (the strides differ; callers validate). Its result is
+///    byte-identical to apply_pairs(stride_a, ga) followed by
+///    apply_pairs(stride_b, gb) on the same backend; the scalar and NEON
+///    entries are exactly those two calls.
 /// Vector backends may take structure fast paths (diagonal / antidiagonal
-/// gates skip the zero products, controlled ops visit only the matching
-/// pairs) — amplitudes agree with the oracle to floating-point rounding,
-/// which the equivalence suite pins down.
+/// gates skip the zero products, gates with real coefficients skip the
+/// imaginary ones, controlled ops visit only the matching pairs, a pair of
+/// real gates shares one load/store sweep) — amplitudes agree with the
+/// oracle to floating-point rounding, which the equivalence suite pins
+/// down. A skipped product is a +-0 term, so the only byte difference it
+/// can make is the sign of an amplitude part that is exactly zero.
 struct KernelOps {
   void (*apply_pairs)(Amplitude* amps, std::size_t dim, std::size_t stride,
                       const Gate1Coeffs& g);
@@ -44,6 +52,9 @@ struct KernelOps {
                                  std::size_t stride, const Gate1Coeffs& g,
                                  BasisState control_mask,
                                  BasisState control_value);
+  void (*apply_pairs2)(Amplitude* amps, std::size_t dim, std::size_t stride_a,
+                       const Gate1Coeffs& ga, std::size_t stride_b,
+                       const Gate1Coeffs& gb);
 };
 
 /// The reference implementation — byte-for-byte the historical scalar

@@ -67,7 +67,15 @@ void neon_pairs_controlled(Amplitude* amps, std::size_t dim, std::size_t stride,
   }
 }
 
-constexpr KernelOps kNeonOps{neon_pairs, neon_pairs_controlled};
+// No NEON two-gate sweep: the pair is the two one-gate passes.
+void neon_pairs2(Amplitude* amps, std::size_t dim, std::size_t stride_a,
+                 const Gate1Coeffs& ga, std::size_t stride_b,
+                 const Gate1Coeffs& gb) {
+  neon_pairs(amps, dim, stride_a, ga);
+  neon_pairs(amps, dim, stride_b, gb);
+}
+
+constexpr KernelOps kNeonOps{neon_pairs, neon_pairs_controlled, neon_pairs2};
 
 }  // namespace
 

@@ -66,6 +66,20 @@ void Statevector::apply(const Gate1& gate, unsigned target) {
                                     std::size_t{1} << target, g);
 }
 
+void Statevector::apply_pair(const Gate1& a, unsigned target_a, const Gate1& b,
+                             unsigned target_b) {
+  check_qubit(target_a);
+  check_qubit(target_b);
+  if (target_a == target_b) {
+    throw std::invalid_argument("apply_pair: targets are equal");
+  }
+  const kernels::Gate1Coeffs ga{a(0, 0), a(0, 1), a(1, 0), a(1, 1)};
+  const kernels::Gate1Coeffs gb{b(0, 0), b(0, 1), b(1, 0), b(1, 1)};
+  kernels::active_ops().apply_pairs2(amplitudes_.data(), amplitudes_.size(),
+                                     std::size_t{1} << target_a, ga,
+                                     std::size_t{1} << target_b, gb);
+}
+
 void Statevector::apply_controlled(const Gate1& gate,
                                    std::span<const unsigned> controls,
                                    unsigned target,
@@ -109,7 +123,10 @@ void Statevector::swap_qubits(unsigned a, unsigned b) {
 }
 
 void Statevector::h_all() {
-  for (unsigned q = 0; q < num_qubits_; ++q) h(q);
+  const Gate1 hadamard = gates::hadamard();
+  unsigned q = 0;
+  for (; q + 1 < num_qubits_; q += 2) apply_pair(hadamard, q, hadamard, q + 1);
+  if (q < num_qubits_) apply(hadamard, q);
 }
 
 BasisState Statevector::measure_all(util::Rng& rng) {

@@ -50,6 +50,13 @@ class Statevector {
 
   void apply(const Gate1& gate, unsigned target);
 
+  /// `a` on `target_a`, then `b` on `target_b`, as one kernel call: the
+  /// result is byte-identical to apply(a, target_a) then apply(b, target_b).
+  /// On AVX2 two real gates share one sweep over the state. Throws
+  /// std::invalid_argument when the targets are equal.
+  void apply_pair(const Gate1& a, unsigned target_a, const Gate1& b,
+                  unsigned target_b);
+
   /// Gate applied to `target`, controlled on every qubit in `controls`: a
   /// control fires on |1>, or on |0> when its bit is set in `open_controls`
   /// (a mask over qubit indices, which must name only qubits in `controls`).
@@ -65,7 +72,8 @@ class Statevector {
   void ccx(unsigned c1, unsigned c2, unsigned target);
   void swap_qubits(unsigned a, unsigned b);
 
-  /// Hadamard on every qubit.
+  /// Hadamard on every qubit: qubits (0, 1), (2, 3), ... as apply_pair
+  /// calls, and an odd top qubit alone.
   void h_all();
 
   // --- Oracles / bulk operations -------------------------------------------

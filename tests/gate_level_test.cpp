@@ -129,6 +129,24 @@ TEST(PhaseFlip, OneOpPerMarkedState) {
   }
 }
 
+TEST(PhaseFlip, IterateMakesWidthPlusMarkedPlusTwoKernelCalls) {
+  // The iterate's two H layers run as w/2 pairs each (at odd w the last H
+  // of A pairs with the closing -I): w + |M| + 2 calls for its 2w + |M| + 2
+  // ops. At w = 1 every uncontrolled op targets qubit 0, so none pair.
+  for (unsigned width : {2u, 3u, 4u, 7u, 14u}) {
+    for (const std::vector<BasisState>& marked :
+         {std::vector<BasisState>{0}, std::vector<BasisState>{0, 1},
+          std::vector<BasisState>{1, 2, 3}}) {
+      quantum::Statevector sv(width);
+      EXPECT_EQ(grover_iterate_circuit(width, marked).apply_to(sv),
+                width + marked.size() + 2)
+          << "w " << width << " |M| " << marked.size();
+    }
+  }
+  quantum::Statevector one(1);
+  EXPECT_EQ(grover_iterate_circuit(1, {1}).apply_to(one), 2u + 1u + 2u);
+}
+
 TEST(PhaseFlip, RejectsDuplicateAndOutOfRangeStates) {
   EXPECT_THROW(phase_flip_circuit(3, {2, 5, 2}), std::invalid_argument);
   EXPECT_THROW(phase_flip_circuit(3, {8}), std::invalid_argument);

@@ -12,13 +12,23 @@
 // then add/sub, never FMA), so agreement is expected at machine precision;
 // the tolerance below only allows for association differences in the
 // structural fast paths (multiplying by an exact zero versus skipping it).
+//
+// The two-gate entry (apply_pairs2) is diffed twice: against the scalar
+// oracle within that tolerance, and byte for byte against the same
+// backend's two one-gate calls, which is what lets Circuit::apply_to and
+// Statevector::h_all pair gates without changing a single output byte.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <complex>
+#include <cstring>
+#include <span>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "src/quantum/circuit.hpp"
 #include "src/quantum/gates.hpp"
 #include "src/quantum/kernels.hpp"
 #include "src/quantum/statevector.hpp"
@@ -159,6 +169,80 @@ TEST(KernelEquivalence, ControlledEveryMaskShape) {
   }
 }
 
+bool same_bytes(std::span<const Amplitude> a, std::span<const Amplitude> b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(Amplitude)) == 0;
+}
+
+std::string pair_label(const char* backend, const char* ga, const char* gb,
+                       unsigned qubits, unsigned ta, unsigned tb) {
+  return std::string(backend) + " " + ga + "@" + std::to_string(ta) + " then " +
+         gb + "@" + std::to_string(tb) + " on " + std::to_string(qubits) +
+         " qubits";
+}
+
+TEST(KernelEquivalence, TwoGateEntryEveryGatePairEveryTargetPair) {
+  const auto backends = vector_backends();
+  if (backends.empty()) GTEST_SKIP() << "no vector backend on this machine";
+  const auto zoo = gate_zoo();
+  for (unsigned qubits = 2; qubits <= 10; ++qubits) {
+    const auto base = random_state(qubits, 3000 + qubits);
+    for (unsigned ta = 0; ta < qubits; ++ta) {
+      for (unsigned tb = 0; tb < qubits; ++tb) {
+        if (ta == tb) continue;
+        const std::size_t sa = std::size_t{1} << ta;
+        const std::size_t sb = std::size_t{1} << tb;
+        for (const auto& [na, gate_a] : zoo) {
+          for (const auto& [nb, gate_b] : zoo) {
+            const auto ga = coeffs(gate_a);
+            const auto gb = coeffs(gate_b);
+            auto oracle = base;
+            kernels::scalar_ops().apply_pairs(oracle.data(), oracle.size(), sa, ga);
+            kernels::scalar_ops().apply_pairs(oracle.data(), oracle.size(), sb, gb);
+            for (const auto& [bname, ops] : backends) {
+              auto vec = base;
+              ops->apply_pairs2(vec.data(), vec.size(), sa, ga, sb, gb);
+              SCOPED_TRACE(pair_label(bname, na, nb, qubits, ta, tb));
+              expect_close(vec, oracle, bname);
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelEquivalence, TwoGateEntryIsItsTwoOneGateCallsByteForByte) {
+  auto backends = vector_backends();
+  backends.insert(backends.begin(), {"scalar", &kernels::scalar_ops()});
+  const auto zoo = gate_zoo();
+  for (unsigned qubits = 2; qubits <= 10; ++qubits) {
+    const auto base = random_state(qubits, 4000 + qubits);
+    for (unsigned ta = 0; ta < qubits; ++ta) {
+      for (unsigned tb = 0; tb < qubits; ++tb) {
+        if (ta == tb) continue;
+        const std::size_t sa = std::size_t{1} << ta;
+        const std::size_t sb = std::size_t{1} << tb;
+        for (const auto& [na, gate_a] : zoo) {
+          for (const auto& [nb, gate_b] : zoo) {
+            const auto ga = coeffs(gate_a);
+            const auto gb = coeffs(gate_b);
+            for (const auto& [bname, ops] : backends) {
+              auto two_calls = base;
+              ops->apply_pairs(two_calls.data(), two_calls.size(), sa, ga);
+              ops->apply_pairs(two_calls.data(), two_calls.size(), sb, gb);
+              auto paired = base;
+              ops->apply_pairs2(paired.data(), paired.size(), sa, ga, sb, gb);
+              ASSERT_TRUE(same_bytes(paired, two_calls))
+                  << pair_label(bname, na, nb, qubits, ta, tb);
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(KernelEquivalence, StatevectorLevelCircuitMatchesScalarKernels) {
   // A full circuit through the public Statevector API (whatever backend is
   // active) against the same circuit replayed through the scalar oracle.
@@ -205,6 +289,113 @@ TEST(KernelEquivalence, StatevectorLevelCircuitMatchesScalarKernels) {
     ASSERT_NEAR(amps[i].imag(), mirror[i].imag(), kTol) << "amplitude " << i;
   }
   EXPECT_NEAR(sv.norm(), 1.0, 1e-9);
+}
+
+TEST(StatevectorPair, HAllMatchesOneHadamardPerQubit) {
+  for (unsigned qubits = 1; qubits <= 11; ++qubits) {
+    Statevector all(qubits, (BasisState{1} << qubits) / 3);
+    Statevector each = all;
+    // A generic state first, so every amplitude and sign is in play.
+    for (unsigned q = 0; q < qubits; ++q) {
+      all.apply(gates::ry(0.3 + q), q);
+      each.apply(gates::ry(0.3 + q), q);
+      all.apply(gates::t(), q);
+      each.apply(gates::t(), q);
+    }
+    all.h_all();
+    for (unsigned q = 0; q < qubits; ++q) each.h(q);
+    EXPECT_TRUE(same_bytes(all.amplitudes(), each.amplitudes())) << qubits;
+  }
+}
+
+TEST(StatevectorPair, RejectsEqualAndOutOfRangeTargets) {
+  Statevector sv(3);
+  const Gate1 h = gates::hadamard();
+  EXPECT_THROW(sv.apply_pair(h, 1, gates::pauli_x(), 1), std::invalid_argument);
+  EXPECT_THROW(sv.apply_pair(h, 3, h, 0), std::invalid_argument);
+  EXPECT_THROW(sv.apply_pair(h, 0, h, 3), std::invalid_argument);
+  // Nothing was applied: the state is still |000>.
+  EXPECT_EQ(sv.amplitude(0), Amplitude(1, 0));
+}
+
+/// One op of a random circuit, kept on the test side so it can be replayed
+/// through Statevector::apply / apply_controlled one call at a time.
+struct TestOp {
+  Gate1 g;
+  std::vector<unsigned> controls;
+  unsigned target;
+  BasisState open_controls;
+};
+
+/// Kernel calls Circuit::apply_to is specified to make: ops i and i + 1
+/// share one call when both are uncontrolled on different targets.
+std::size_t expected_calls(const std::vector<TestOp>& ops) {
+  std::size_t calls = 0;
+  for (std::size_t i = 0; i < ops.size(); ++calls) {
+    const bool pairs = ops[i].controls.empty() && i + 1 < ops.size() &&
+                       ops[i + 1].controls.empty() &&
+                       ops[i + 1].target != ops[i].target;
+    i += pairs ? 2 : 1;
+  }
+  return calls;
+}
+
+TEST(CircuitPairing, ApplyToMatchesOneOpAtATimeByteForByte) {
+  // Real gates (H, X, Z, RY, -I, diag(-1, 1)) take the AVX2 two-gate
+  // sweep; complex ones fall back to two passes; controlled ops break runs.
+  auto zoo = gate_zoo();
+  zoo.push_back({"minus_identity", Gate1{{Amplitude{-1, 0}, {0, 0}, {0, 0}, {-1, 0}}}});
+  zoo.push_back({"flip_zero", Gate1{{Amplitude{-1, 0}, {0, 0}, {0, 0}, {1, 0}}}});
+  util::Rng rng(15);
+  std::size_t paired_total = 0;
+  for (int trial = 0; trial < 60; ++trial) {
+    const auto qubits = static_cast<unsigned>(1 + rng.index(9));
+    std::vector<TestOp> ops;
+    Circuit circuit(qubits);
+    const std::size_t length = 1 + rng.index(40);
+    for (std::size_t k = 0; k < length; ++k) {
+      const Gate1 g = zoo[rng.index(zoo.size())].second;
+      // One op in four repeats the previous target, so same-target
+      // neighbours (which must not pair) are common.
+      unsigned target = static_cast<unsigned>(rng.index(qubits));
+      if (!ops.empty() && rng.index(4) == 0) target = ops.back().target;
+      TestOp op{g, {}, target, 0};
+      if (qubits > 1 && rng.index(4) == 0) {
+        const unsigned control = (target + 1 + static_cast<unsigned>(rng.index(qubits - 1))) % qubits;
+        op.controls.push_back(control);
+        if (rng.index(2) == 0) op.open_controls = BasisState{1} << control;
+        circuit.controlled(g, op.controls, target, op.open_controls);
+      } else {
+        circuit.gate(g, target);
+      }
+      ops.push_back(op);
+    }
+    Statevector paired(qubits, rng.index(std::size_t{1} << qubits));
+    Statevector one_at_a_time = paired;
+    const std::size_t calls = circuit.apply_to(paired);
+    for (const TestOp& op : ops) {
+      if (op.controls.empty()) {
+        one_at_a_time.apply(op.g, op.target);
+      } else {
+        one_at_a_time.apply_controlled(op.g, op.controls, op.target,
+                                       op.open_controls);
+      }
+    }
+    ASSERT_TRUE(same_bytes(paired.amplitudes(), one_at_a_time.amplitudes()))
+        << "trial " << trial;
+    EXPECT_EQ(calls, expected_calls(ops)) << "trial " << trial;
+    paired_total += ops.size() - calls;
+  }
+  EXPECT_GT(paired_total, 0u);  // the sweep really ran
+}
+
+TEST(CircuitPairing, CountsOneCallPerPairControlledOpAndLoneGate) {
+  Circuit c(3);
+  c.h(0).h(1).h(2);           // (H0, H1) pair; H2 alone before a controlled op
+  c.cnot(0, 2);               // controlled: one call
+  c.x(1).x(1).z(2);           // X1 alone (same target next), then (X1, Z2)
+  Statevector sv(3);
+  EXPECT_EQ(c.apply_to(sv), 5u);
 }
 
 TEST(KernelDispatch, ActiveBackendIsCoherent) {

@@ -714,6 +714,23 @@ TEST(QlintHotPath, FlagsNewAndStdFunctionInKernels) {
                     "hot-path-alloc"));
 }
 
+TEST(QlintHotPath, FlagsAllocationInCircuitApplyTo) {
+  // The pairing loop runs once per op of every Grover iterate; building a
+  // circuit (Circuit::gate) is cold setup in the same translation unit.
+  auto d = lint_source("src/quantum/circuit.cpp",
+                       "Circuit& Circuit::gate(const Gate1& g, unsigned t) {\n"
+                       "  ops_.push_back(Op{g, {}, t, 0});\n"
+                       "  return *this;\n"
+                       "}\n"
+                       "std::size_t Circuit::apply_to(Statevector& s) const {\n"
+                       "  std::vector<unsigned>* seen = new std::vector<unsigned>;\n"
+                       "  return 0;\n"
+                       "}\n");
+  ASSERT_EQ(d.size(), 1u);
+  EXPECT_EQ(d[0].rule, "hot-path-alloc");
+  EXPECT_EQ(d[0].line, 6u);
+}
+
 TEST(QlintHotPath, ColdEngineSetupAllocatesFreely) {
   // set_fault_plan is per-run setup, not the round loop: unreserved growth
   // there is outside the rule's hot-function list.

@@ -8,11 +8,12 @@
 //     (default 1e6 ns) in the baseline are skipped — sub-millisecond
 //     timings are noise, not signal.
 //   * deterministic counters (rounds, batches, measured, bound,
-//     retransmissions, gate_ops): any drift at all fails. These are seeded
-//     round counts and circuit sizes, identical on every machine, so they
-//     catch algorithmic cost regressions even when the runner is faster
-//     than the machine that recorded the baseline (which makes the
-//     wall-clock gate lenient, never spurious).
+//     retransmissions, gate_ops, gate_passes): any drift at all fails.
+//     These are seeded round counts, circuit sizes and kernel-call counts,
+//     identical on every machine, so they catch algorithmic cost
+//     regressions even when the runner is faster than the machine that
+//     recorded the baseline (which makes the wall-clock gate lenient,
+//     never spurious).
 //
 // With --report the two files are REPORT_*.json run reports instead
 // (src/obs/run_report.hpp): schema-versioned documents whose determinism
@@ -59,10 +60,10 @@ struct BenchRun {
 };
 
 /// Counters that are deterministic functions of the seed (round counts,
-/// ledger totals, circuit op counts), so any drift is a real behavioural
-/// change, not noise.
-const char* kExactCounters[] = {"measured", "bound",           "ratio",   "rounds",
-                                "batches",  "retransmissions", "gate_ops"};
+/// ledger totals, circuit op and kernel-call counts), so any drift is a
+/// real behavioural change, not noise.
+const char* kExactCounters[] = {"measured", "bound",           "ratio",    "rounds",
+                                "batches",  "retransmissions", "gate_ops", "gate_passes"};
 
 bool exact_counter(const std::string& name) {
   for (const char* c : kExactCounters) {
