@@ -842,8 +842,8 @@ void check_untrusted_narrowing(RuleCtx& ctx) {
 
 /// The per-word / per-amplitude functions: Engine's round loop runs these
 /// tens of thousands of times per trial, Statevector::apply* once per gate
-/// per 2^q amplitudes, and Circuit::apply_to's pairing loop once per op of
-/// every Grover iterate. A heap allocation here is an allocator round-trip
+/// per 2^q amplitudes (widen once per state, in place), and
+/// Circuit::apply_to's pairing loop once per op of every Grover iterate. A heap allocation here is an allocator round-trip
 /// multiplied by the hottest loop in the repo — the arena/pooling work of
 /// DESIGN.md §13 exists to keep these allocation-free. Cold setup (the
 /// constructor, set_*, run() initialization) allocates freely; `grow_fill`
@@ -861,7 +861,7 @@ const HotFn kHotFns[] = {
     {"Statevector", "apply_pair"},  {"Statevector", "cnot"},
     {"Statevector", "cz"},          {"Statevector", "ccx"},
     {"Statevector", "swap_qubits"}, {"Statevector", "h_all"},
-    {"Circuit", "apply_to"},
+    {"Statevector", "widen"},       {"Circuit", "apply_to"},
 };
 
 void check_hot_path_alloc(RuleCtx& ctx) {

@@ -48,7 +48,7 @@ std::optional<Violation> check_circuit_unitary(const quantum::Circuit& circuit,
   for (std::size_t b = 0; b < dim; ++b) {
     quantum::Statevector state(n, static_cast<quantum::BasisState>(b));
     circuit.apply_to(state);
-    columns[b].assign(state.amplitudes().begin(), state.amplitudes().end());
+    columns[b] = state.amplitudes();
   }
 
   // U is unitary iff its columns are orthonormal: <col_i, col_j> = delta_ij.

@@ -44,15 +44,49 @@ void scalar_pairs_controlled(Amplitude* amps, std::size_t dim,
   }
 }
 
-void scalar_pairs2(Amplitude* amps, std::size_t dim, std::size_t stride_a,
-                   const Gate1Coeffs& ga, std::size_t stride_b,
-                   const Gate1Coeffs& gb) {
-  scalar_pairs(amps, dim, stride_a, ga);
-  scalar_pairs(amps, dim, stride_b, gb);
+// The real entries are the same loops over a double array with real
+// coefficients; the two-gate entry is its two one-gate calls.
+void scalar_real_pairs(double* x, std::size_t len, std::size_t stride,
+                       const RealCoeffs& g) {
+  for (std::size_t base = 0; base < len; base += 2 * stride) {
+    double* lo = x + base;
+    double* hi = lo + stride;
+    for (std::size_t off = 0; off < stride; ++off) {
+      const double a0 = lo[off];
+      const double a1 = hi[off];
+      lo[off] = g.g00 * a0 + g.g01 * a1;
+      hi[off] = g.g10 * a0 + g.g11 * a1;
+    }
+  }
+}
+
+void scalar_real_pairs2(double* x, std::size_t len, std::size_t stride_a,
+                        const RealCoeffs& ga, std::size_t stride_b,
+                        const RealCoeffs& gb) {
+  scalar_real_pairs(x, len, stride_a, ga);
+  scalar_real_pairs(x, len, stride_b, gb);
+}
+
+void scalar_real_pairs_controlled(double* x, std::size_t len,
+                                  std::size_t stride, const RealCoeffs& g,
+                                  BasisState control_mask,
+                                  BasisState control_value) {
+  for (std::size_t base = 0; base < len; base += 2 * stride) {
+    double* lo = x + base;
+    double* hi = lo + stride;
+    for (std::size_t off = 0; off < stride; ++off) {
+      if (((base + off) & control_mask) != control_value) continue;
+      const double a0 = lo[off];
+      const double a1 = hi[off];
+      lo[off] = g.g00 * a0 + g.g01 * a1;
+      hi[off] = g.g10 * a0 + g.g11 * a1;
+    }
+  }
 }
 
 constexpr KernelOps kScalarOps{scalar_pairs, scalar_pairs_controlled,
-                               scalar_pairs2};
+                               scalar_real_pairs, scalar_real_pairs2,
+                               scalar_real_pairs_controlled};
 
 Backend detect_backend() {
   if (avx2_ops_or_null() != nullptr) return Backend::kAvx2;

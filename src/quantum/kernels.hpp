@@ -21,10 +21,27 @@ struct Gate1Coeffs {
   Amplitude g00, g01, g10, g11;
 };
 
+/// The 2x2 matrix of a single-qubit gate whose four coefficients are real.
+struct RealCoeffs {
+  double g00, g01, g10, g11;
+};
+
 /// One statevector kernel backend. Every entry point walks the strided
-/// pair layout of a target-qubit gate: for `base` stepping by 2*stride
-/// through `dim`, the pair arrays are lo = amps + base, hi = lo + stride,
-/// and each (lo[off], hi[off]) pair maps through the 2x2 unitary.
+/// pair layout of a target bit: for `base` stepping by 2*stride through
+/// the array, the pair arrays are lo = base, hi = lo + stride, and each
+/// (lo[off], hi[off]) pair maps through the 2x2 matrix.
+///
+/// Two families of entries:
+///  - complex: `apply_pairs` and `apply_pairs_controlled` over `dim`
+///    interleaved complex amplitudes, for gates with a complex coefficient;
+///  - real: `real_pairs`, `real_pairs2` and `real_pairs_controlled` over a
+///    double array of `len` entries, for gates whose coefficients are all
+///    real. A real state is `dim` packed doubles, one per basis state, and
+///    qubit t is array bit t. An interleaved complex buffer read as 2*dim
+///    doubles is a real array too: array bit 0 selects the real or the
+///    imaginary part, so qubit t is array bit t + 1, and a real gate scales
+///    both parts alike. Callers shift the stride, mask and value up one
+///    bit for that view.
 ///
 /// Contract shared by every backend (the scalar one is the oracle):
 ///  - identical pair coverage and update formula
@@ -33,18 +50,20 @@ struct Gate1Coeffs {
 ///    (base + off) & mask == value, so a control fires on |1> where its bit
 ///    is set in `value` and on |0> where it is clear; `value` is a subset of
 ///    `mask`, and the mask never contains the target bit (callers validate).
-///  - `apply_pairs2` is gate `ga` at `stride_a`, then gate `gb` at
+///  - `real_pairs2` is gate `ga` at `stride_a`, then gate `gb` at
 ///    `stride_b` (the strides differ; callers validate). Its result is
-///    byte-identical to apply_pairs(stride_a, ga) followed by
-///    apply_pairs(stride_b, gb) on the same backend; the scalar and NEON
+///    byte-identical to real_pairs(stride_a, ga) followed by
+///    real_pairs(stride_b, gb) on the same backend; the scalar and NEON
 ///    entries are exactly those two calls.
 /// Vector backends may take structure fast paths (diagonal / antidiagonal
-/// gates skip the zero products, gates with real coefficients skip the
-/// imaginary ones, controlled ops visit only the matching pairs, a pair of
-/// real gates shares one load/store sweep) — amplitudes agree with the
-/// oracle to floating-point rounding, which the equivalence suite pins
-/// down. A skipped product is a +-0 term, so the only byte difference it
-/// can make is the sign of an amplitude part that is exactly zero.
+/// gates skip the zero products, controlled ops visit only the matching
+/// pairs, two real gates share one load/store sweep) — amplitudes agree
+/// with the oracle to floating-point rounding, which the equivalence suite
+/// pins down. A skipped product is a +-0 term, so the only byte difference
+/// it can make is the sign of an amplitude part that is exactly zero. For
+/// the same reason a real entry on the complex view equals the complex
+/// oracle on a real gate in value: it leaves out the products of the
+/// gate's zero imaginary parts.
 struct KernelOps {
   void (*apply_pairs)(Amplitude* amps, std::size_t dim, std::size_t stride,
                       const Gate1Coeffs& g);
@@ -52,9 +71,14 @@ struct KernelOps {
                                  std::size_t stride, const Gate1Coeffs& g,
                                  BasisState control_mask,
                                  BasisState control_value);
-  void (*apply_pairs2)(Amplitude* amps, std::size_t dim, std::size_t stride_a,
-                       const Gate1Coeffs& ga, std::size_t stride_b,
-                       const Gate1Coeffs& gb);
+  void (*real_pairs)(double* x, std::size_t len, std::size_t stride,
+                     const RealCoeffs& g);
+  void (*real_pairs2)(double* x, std::size_t len, std::size_t stride_a,
+                      const RealCoeffs& ga, std::size_t stride_b,
+                      const RealCoeffs& gb);
+  void (*real_pairs_controlled)(double* x, std::size_t len, std::size_t stride,
+                                const RealCoeffs& g, BasisState control_mask,
+                                BasisState control_value);
 };
 
 /// The reference implementation — byte-for-byte the historical scalar

@@ -67,20 +67,16 @@ void neon_pairs_controlled(Amplitude* amps, std::size_t dim, std::size_t stride,
   }
 }
 
-// No NEON two-gate sweep: the pair is the two one-gate passes.
-void neon_pairs2(Amplitude* amps, std::size_t dim, std::size_t stride_a,
-                 const Gate1Coeffs& ga, std::size_t stride_b,
-                 const Gate1Coeffs& gb) {
-  neon_pairs(amps, dim, stride_a, ga);
-  neon_pairs(amps, dim, stride_b, gb);
-}
-
-constexpr KernelOps kNeonOps{neon_pairs, neon_pairs_controlled, neon_pairs2};
-
 }  // namespace
 
 // NEON is architecturally guaranteed on aarch64 — no runtime probe needed.
-const KernelOps* neon_ops_or_null() { return &kNeonOps; }
+// The real entries are the scalar ones: there is no NEON real kernel.
+const KernelOps* neon_ops_or_null() {
+  static const KernelOps ops{neon_pairs, neon_pairs_controlled,
+                             scalar_ops().real_pairs, scalar_ops().real_pairs2,
+                             scalar_ops().real_pairs_controlled};
+  return &ops;
+}
 
 }  // namespace qcongest::quantum::kernels
 

@@ -18,11 +18,28 @@ Statevector::Statevector(unsigned num_qubits, BasisState basis)
   std::size_t dim = std::size_t{1} << num_qubits;
   if (basis >= dim) throw std::invalid_argument("Statevector: basis out of range");
   amplitudes_.assign(dim, Amplitude{0, 0});
-  amplitudes_[basis] = Amplitude{1, 0};
+  reals()[basis] = 1.0;
+}
+
+Amplitude Statevector::amplitude(BasisState basis) const {
+  if (basis >= amplitudes_.size()) {
+    throw std::out_of_range("Statevector::amplitude: basis out of range");
+  }
+  return real_ ? Amplitude{reals()[basis], 0.0} : amplitudes_[basis];
+}
+
+std::vector<Amplitude> Statevector::amplitudes() const {
+  if (!real_) return amplitudes_;
+  std::vector<Amplitude> out(amplitudes_.size());
+  for (std::size_t b = 0; b < out.size(); ++b) out[b] = {reals()[b], 0.0};
+  return out;
 }
 
 double Statevector::probability(BasisState basis) const {
-  return std::norm(amplitudes_.at(basis));
+  if (basis >= amplitudes_.size()) {
+    throw std::out_of_range("Statevector::probability: basis out of range");
+  }
+  return probability_at(basis);
 }
 
 double Statevector::probability_of_one(unsigned qubit) const {
@@ -30,14 +47,14 @@ double Statevector::probability_of_one(unsigned qubit) const {
   BasisState mask = BasisState{1} << qubit;
   double p = 0.0;
   for (std::size_t b = 0; b < amplitudes_.size(); ++b) {
-    if (b & mask) p += std::norm(amplitudes_[b]);
+    if (b & mask) p += probability_at(b);
   }
   return p;
 }
 
 double Statevector::norm() const {
   double total = 0.0;
-  for (const Amplitude& a : amplitudes_) total += std::norm(a);
+  for (std::size_t b = 0; b < amplitudes_.size(); ++b) total += probability_at(b);
   return std::sqrt(total);
 }
 
@@ -47,7 +64,7 @@ Amplitude Statevector::inner_product(const Statevector& other) const {
   }
   Amplitude sum{0, 0};
   for (std::size_t b = 0; b < amplitudes_.size(); ++b) {
-    sum += std::conj(other.amplitudes_[b]) * amplitudes_[b];
+    sum += std::conj(other.amplitude(b)) * amplitude(b);
   }
   return sum;
 }
@@ -56,14 +73,62 @@ double Statevector::fidelity(const Statevector& other) const {
   return std::norm(inner_product(other));
 }
 
+namespace {
+
+/// Structural, like the kernels' zero tests: an imaginary part that is
+/// exactly zero only ever contributes +-0 products, which the real entries
+/// leave out. A tolerance here would change results, not robustness.
+bool is_real_gate(const Gate1& g) {
+  for (const Amplitude& c : g.m) {
+    if (c.imag() != 0.0) return false;  // qlint-allow(float-equal): structural zero selects the real representation
+  }
+  return true;
+}
+
+kernels::RealCoeffs real_coeffs(const Gate1& g) {
+  return {g.m[0].real(), g.m[1].real(), g.m[2].real(), g.m[3].real()};
+}
+
+kernels::Gate1Coeffs complex_coeffs(const Gate1& g) {
+  return {g.m[0], g.m[1], g.m[2], g.m[3]};
+}
+
+}  // namespace
+
+Statevector::RealView Statevector::real_view() {
+  if (real_) return {reals(), amplitudes_.size(), 0};
+  return {reinterpret_cast<double*>(amplitudes_.data()),
+          2 * amplitudes_.size(), 1};
+}
+
+void Statevector::widen() {
+  if (!real_) return;
+  // Slot b's two doubles sit at 2b and 2b + 1, at or above the packed x[b],
+  // and above every x[b'] with b' < b that is still to be read.
+  double* d = reals();
+  for (std::size_t b = amplitudes_.size(); b-- > 0;) {
+    const double x = d[b];
+    d[2 * b] = x;
+    d[2 * b + 1] = 0.0;
+  }
+  real_ = false;
+}
+
 void Statevector::apply(const Gate1& gate, unsigned target) {
   check_qubit(target);
   // The strided pair walk lives in the kernel layer (runtime-dispatched
   // AVX2 / NEON / scalar); the scalar backend is the historical loop and
   // the oracle the vector backends are tested against.
-  const kernels::Gate1Coeffs g{gate(0, 0), gate(0, 1), gate(1, 0), gate(1, 1)};
+  const std::size_t stride = std::size_t{1} << target;
+  if (is_real_gate(gate)) {
+    const RealView v = real_view();
+    kernels::active_ops().real_pairs(v.x, v.len, stride << v.shift,
+                                     real_coeffs(gate));
+    return;
+  }
+  widen();
   kernels::active_ops().apply_pairs(amplitudes_.data(), amplitudes_.size(),
-                                    std::size_t{1} << target, g);
+                                    stride, complex_coeffs(gate));
 }
 
 void Statevector::apply_pair(const Gate1& a, unsigned target_a, const Gate1& b,
@@ -73,11 +138,15 @@ void Statevector::apply_pair(const Gate1& a, unsigned target_a, const Gate1& b,
   if (target_a == target_b) {
     throw std::invalid_argument("apply_pair: targets are equal");
   }
-  const kernels::Gate1Coeffs ga{a(0, 0), a(0, 1), a(1, 0), a(1, 1)};
-  const kernels::Gate1Coeffs gb{b(0, 0), b(0, 1), b(1, 0), b(1, 1)};
-  kernels::active_ops().apply_pairs2(amplitudes_.data(), amplitudes_.size(),
-                                     std::size_t{1} << target_a, ga,
-                                     std::size_t{1} << target_b, gb);
+  if (!is_real_gate(a) || !is_real_gate(b)) {
+    apply(a, target_a);
+    apply(b, target_b);
+    return;
+  }
+  const RealView v = real_view();
+  kernels::active_ops().real_pairs2(
+      v.x, v.len, (std::size_t{1} << target_a) << v.shift, real_coeffs(a),
+      (std::size_t{1} << target_b) << v.shift, real_coeffs(b));
 }
 
 void Statevector::apply_controlled(const Gate1& gate,
@@ -94,10 +163,19 @@ void Statevector::apply_controlled(const Gate1& gate,
   if ((open_controls & ~control_mask) != 0) {
     throw std::invalid_argument("open control is not a control");
   }
-  const kernels::Gate1Coeffs g{gate(0, 0), gate(0, 1), gate(1, 0), gate(1, 1)};
+  const std::size_t stride = std::size_t{1} << target;
+  const BasisState control_value = control_mask & ~open_controls;
+  if (is_real_gate(gate)) {
+    const RealView v = real_view();
+    kernels::active_ops().real_pairs_controlled(
+        v.x, v.len, stride << v.shift, real_coeffs(gate),
+        control_mask << v.shift, control_value << v.shift);
+    return;
+  }
+  widen();
   kernels::active_ops().apply_pairs_controlled(
-      amplitudes_.data(), amplitudes_.size(), std::size_t{1} << target, g,
-      control_mask, control_mask & ~open_controls);
+      amplitudes_.data(), amplitudes_.size(), stride, complex_coeffs(gate),
+      control_mask, control_value);
 }
 
 void Statevector::cnot(unsigned control, unsigned target) {
@@ -132,7 +210,11 @@ void Statevector::h_all() {
 BasisState Statevector::measure_all(util::Rng& rng) {
   BasisState outcome = sample(rng);
   amplitudes_.assign(amplitudes_.size(), Amplitude{0, 0});
-  amplitudes_[outcome] = Amplitude{1, 0};
+  if (real_) {
+    reals()[outcome] = 1.0;
+  } else {
+    amplitudes_[outcome] = Amplitude{1, 0};
+  }
   return outcome;
 }
 
@@ -143,8 +225,12 @@ bool Statevector::measure_qubit(unsigned qubit, util::Rng& rng) {
   double keep_prob = outcome ? p1 : 1.0 - p1;
   double scale = keep_prob > 0 ? 1.0 / std::sqrt(keep_prob) : 0.0;
   for (std::size_t b = 0; b < amplitudes_.size(); ++b) {
-    bool bit = (b & mask) != 0;
-    amplitudes_[b] = (bit == outcome) ? amplitudes_[b] * scale : Amplitude{0, 0};
+    const bool keep = ((b & mask) != 0) == outcome;
+    if (real_) {
+      reals()[b] = keep ? reals()[b] * scale : 0.0;
+    } else {
+      amplitudes_[b] = keep ? amplitudes_[b] * scale : Amplitude{0, 0};
+    }
   }
   return outcome;
 }
@@ -153,7 +239,7 @@ BasisState Statevector::sample(util::Rng& rng) const {
   double r = rng.uniform();
   double cumulative = 0.0;
   for (std::size_t b = 0; b < amplitudes_.size(); ++b) {
-    cumulative += std::norm(amplitudes_[b]);
+    cumulative += probability_at(b);
     if (r < cumulative) return b;
   }
   return amplitudes_.size() - 1;  // guard against rounding at the tail
@@ -166,7 +252,7 @@ std::vector<double> Statevector::marginal(unsigned first, unsigned count) const 
   std::vector<double> dist(std::size_t{1} << count, 0.0);
   BasisState reg_mask = ((BasisState{1} << count) - 1) << first;
   for (std::size_t b = 0; b < amplitudes_.size(); ++b) {
-    dist[(b & reg_mask) >> first] += std::norm(amplitudes_[b]);
+    dist[(b & reg_mask) >> first] += probability_at(b);
   }
   return dist;
 }

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cmath>
+#include <cstdint>
 #include <span>
 #include <stdexcept>
 #include <vector>
@@ -16,6 +17,16 @@ namespace qcongest::quantum {
 /// Qubit 0 is the least significant bit of the basis-state index. The class
 /// maintains the invariant that the state is normalized (up to floating
 /// point error) after every public mutating operation.
+///
+/// Representation: a state holds one real double per basis state for as
+/// long as every operation applied to it has been real, and interleaved
+/// complex amplitudes from its first complex operation on. A gate is real
+/// when the imaginary parts of its four coefficients are exactly zero;
+/// apply_diagonal is real while every phase it returns is. The first
+/// complex operation widens the state once, in place, and it never narrows
+/// back. The representation is not an option: readers see the same
+/// amplitudes and the same probability bytes either way, and is_real()
+/// only reports which one is live.
 class Statevector {
  public:
   static constexpr unsigned kMaxQubits = 26;
@@ -29,8 +40,13 @@ class Statevector {
   unsigned num_qubits() const { return num_qubits_; }
   std::size_t dimension() const { return amplitudes_.size(); }
 
-  Amplitude amplitude(BasisState basis) const { return amplitudes_.at(basis); }
-  std::span<const Amplitude> amplitudes() const { return amplitudes_; }
+  /// True while every operation applied has been real (see the class
+  /// comment); the amplitudes are then packed doubles.
+  bool is_real() const { return real_; }
+
+  Amplitude amplitude(BasisState basis) const;
+  /// Every amplitude, as complex numbers whatever the representation.
+  std::vector<Amplitude> amplitudes() const;
 
   /// Probability of measuring exactly `basis` on all qubits.
   double probability(BasisState basis) const;
@@ -40,7 +56,7 @@ class Statevector {
 
   double norm() const;
 
-  /// <other|this>.
+  /// <other|this>; either state may be real or complex.
   Amplitude inner_product(const Statevector& other) const;
 
   /// Fidelity |<other|this>|^2.
@@ -50,9 +66,10 @@ class Statevector {
 
   void apply(const Gate1& gate, unsigned target);
 
-  /// `a` on `target_a`, then `b` on `target_b`, as one kernel call: the
-  /// result is byte-identical to apply(a, target_a) then apply(b, target_b).
-  /// On AVX2 two real gates share one sweep over the state. Throws
+  /// `a` on `target_a`, then `b` on `target_b`. Two real gates are one
+  /// kernel call that shares one sweep over the state on AVX2; otherwise
+  /// it is apply(a, target_a) then apply(b, target_b). Either way the
+  /// result is byte-identical to those two calls. Throws
   /// std::invalid_argument when the targets are equal.
   void apply_pair(const Gate1& a, unsigned target_a, const Gate1& b,
                   unsigned target_b);
@@ -79,37 +96,67 @@ class Statevector {
   // --- Oracles / bulk operations -------------------------------------------
 
   /// |b> -> phase(b) * |b> for every basis state. `phase` must return a
-  /// unit-modulus complex number for the result to stay normalized.
+  /// unit-modulus complex number for the result to stay normalized. A real
+  /// state stays real up to the first phase with a nonzero imaginary part,
+  /// where it widens.
   ///
   /// A template, so lambdas and function objects bind directly and the
   /// per-amplitude call inlines instead of going through a type-erased
   /// std::function dispatch.
   template <typename PhaseFn>
   void apply_diagonal(PhaseFn&& phase) {
-    for (std::size_t b = 0; b < amplitudes_.size(); ++b) {
+    const std::size_t dim = amplitudes_.size();
+    std::size_t b = 0;
+    if (real_) {
+      double* x = reals();
+      for (; b < dim; ++b) {
+        const Amplitude p = phase(static_cast<BasisState>(b));
+        if (p.imag() != 0.0) {  // qlint-allow(float-equal): structural zero keeps the state real
+          widen();
+          amplitudes_[b] *= p;
+          ++b;
+          break;
+        }
+        x[b] *= p.real();
+      }
+    }
+    for (; b < dim; ++b) {
       amplitudes_[b] *= phase(static_cast<BasisState>(b));
     }
   }
 
   /// Permutation on basis states: |b> -> |pi(b)>. `pi` must be a bijection
-  /// on [0, 2^n). A template for the same reason as apply_diagonal.
+  /// on [0, 2^n); an image out of range or hit twice throws
+  /// std::invalid_argument and leaves the state unchanged. A template for
+  /// the same reason as apply_diagonal.
   template <typename PiFn>
   void apply_permutation(PiFn&& pi) {
-    // scratch_ is reused across calls (boosting loops permute repeatedly),
-    // so the steady state allocates nothing.
-    scratch_.assign(amplitudes_.size(), Amplitude{0, 0});
-    for (std::size_t b = 0; b < amplitudes_.size(); ++b) {
-      BasisState target = pi(static_cast<BasisState>(b));
-      if (target >= amplitudes_.size()) {
-        throw std::invalid_argument("apply_permutation: image out of range");
+    // scratch_ and hit_ are reused across calls (boosting loops permute
+    // repeatedly), so the steady state allocates nothing. Every image is
+    // marked in hit_: a second hit is a collision, which a norm check
+    // would miss when the colliding sources have zero amplitude.
+    const std::size_t dim = amplitudes_.size();
+    scratch_.resize(dim);
+    hit_.assign(dim / 64 + 1, 0);
+    auto permute = [&](const auto* from, auto* to) {
+      for (std::size_t b = 0; b < dim; ++b) {
+        const BasisState target = pi(static_cast<BasisState>(b));
+        if (target >= dim) {
+          throw std::invalid_argument("apply_permutation: image out of range");
+        }
+        std::uint64_t& word = hit_[target / 64];
+        const std::uint64_t bit = std::uint64_t{1} << (target % 64);
+        if ((word & bit) != 0) {
+          throw std::invalid_argument("apply_permutation: map is not a bijection");
+        }
+        word |= bit;
+        to[target] = from[b];
       }
-      scratch_[target] += amplitudes_[b];
-    }
-    // A genuine permutation preserves the norm; verify to catch non-bijections.
-    double total = 0.0;
-    for (const Amplitude& a : scratch_) total += std::norm(a);
-    if (std::abs(total - 1.0) > 1e-6) {
-      throw std::invalid_argument("apply_permutation: map is not a bijection");
+    };
+    if (real_) {
+      permute(reals(), reinterpret_cast<double*>(scratch_.data()));
+    } else {
+      permute(amplitudes_.data(), scratch_.data());
     }
     amplitudes_.swap(scratch_);
   }
@@ -131,9 +178,44 @@ class Statevector {
  private:
   void check_qubit(unsigned q) const;
 
+  /// Real to complex, in place: amplitude b becomes {x[b], 0}, walking b
+  /// down from dim - 1 so no packed double is overwritten before it is
+  /// read. Nothing is allocated. A no-op on a complex state.
+  void widen();
+
+  /// The double array the real kernel entries run on: the packed reals, or
+  /// on a complex state the interleaved buffer read as 2 * dim doubles,
+  /// where array bit 0 picks the real or imaginary part and qubit t is
+  /// array bit t + 1. A qubit's stride, mask and value move into array bits
+  /// by `<< shift`.
+  struct RealView {
+    double* x;
+    std::size_t len;
+    unsigned shift;
+  };
+  RealView real_view();
+
+  /// The packed reals: the first dim doubles of the complex-sized buffer.
+  /// std::complex<double> is layout-compatible with double[2], so the
+  /// buffer read as doubles is well defined.
+  double* reals() { return reinterpret_cast<double*>(amplitudes_.data()); }
+  const double* reals() const {
+    return reinterpret_cast<const double*>(amplitudes_.data());
+  }
+
+  /// |amplitude b|^2, read from the live representation. On a real state
+  /// x*x equals std::norm's x*x + 0*0 byte for byte.
+  double probability_at(std::size_t b) const {
+    if (real_) return reals()[b] * reals()[b];
+    return std::norm(amplitudes_[b]);
+  }
+
   unsigned num_qubits_;
+  bool real_ = true;
+  /// dim complex slots; on a real state only the first dim doubles are live.
   std::vector<Amplitude> amplitudes_;
-  std::vector<Amplitude> scratch_;  // apply_permutation workspace
+  std::vector<Amplitude> scratch_;   // apply_permutation workspace
+  std::vector<std::uint64_t> hit_;   // apply_permutation: images seen
 };
 
 /// Precomputed cumulative-probability table for repeated sampling of one

@@ -13,10 +13,14 @@
 // the tolerance below only allows for association differences in the
 // structural fast paths (multiplying by an exact zero versus skipping it).
 //
-// The two-gate entry (apply_pairs2) is diffed twice: against the scalar
-// oracle within that tolerance, and byte for byte against the same
-// backend's two one-gate calls, which is what lets Circuit::apply_to and
-// Statevector::h_all pair gates without changing a single output byte.
+// The real entries (real_pairs, real_pairs2, real_pairs_controlled) run
+// every real gate on packed reals and on complex states read as doubles
+// (the shifted view Statevector uses), for the scalar backend and every
+// vector one. They leave out only +-0 products, so they must equal the
+// complex scalar oracle in value, with at most the sign of a zero
+// differing. The two-gate entry is also diffed byte for byte against the
+// same backend's two one-gate calls, which is what lets Circuit::apply_to
+// and Statevector::h_all pair gates without changing a single output byte.
 
 #include <gtest/gtest.h>
 
@@ -31,7 +35,9 @@
 #include "src/quantum/circuit.hpp"
 #include "src/quantum/gates.hpp"
 #include "src/quantum/kernels.hpp"
+#include "src/quantum/qft.hpp"
 #include "src/quantum/statevector.hpp"
+#include "src/query/gate_level.hpp"
 #include "src/util/rng.hpp"
 
 namespace qcongest::quantum {
@@ -78,6 +84,68 @@ std::vector<std::pair<const char*, const kernels::KernelOps*>> vector_backends()
   if (const auto* ops = kernels::avx2_ops_or_null()) out.push_back({"avx2", ops});
   if (const auto* ops = kernels::neon_ops_or_null()) out.push_back({"neon", ops});
   return out;
+}
+
+/// Every backend's kernel table, the scalar oracle first.
+std::vector<std::pair<const char*, const kernels::KernelOps*>> all_backends() {
+  auto out = vector_backends();
+  out.insert(out.begin(), {"scalar", &kernels::scalar_ops()});
+  return out;
+}
+
+/// The gates of gate_zoo() whose coefficients are all real.
+std::vector<std::pair<const char*, Gate1>> real_zoo() {
+  std::vector<std::pair<const char*, Gate1>> out;
+  for (const auto& entry : gate_zoo()) {
+    bool real = true;
+    for (const Amplitude& c : entry.second.m) real = real && c.imag() == 0.0;
+    if (real) out.push_back(entry);
+  }
+  return out;
+}
+
+kernels::RealCoeffs real_coeffs(const Gate1& g) {
+  return {g(0, 0).real(), g(0, 1).real(), g(1, 0).real(), g(1, 1).real()};
+}
+
+/// A state with real amplitudes, as packed reals and as complex numbers.
+struct RealState {
+  std::vector<double> packed;
+  std::vector<Amplitude> complex;
+};
+
+RealState random_real_state(unsigned qubits, std::uint64_t seed) {
+  RealState out;
+  for (const Amplitude& a : random_state(qubits, seed)) {
+    out.packed.push_back(a.real());
+    out.complex.push_back({out.packed.back(), 0.0});
+  }
+  return out;
+}
+
+/// A complex buffer read as the double array of the shifted view.
+double* as_doubles(std::vector<Amplitude>& amps) {
+  return reinterpret_cast<double*>(amps.data());
+}
+
+/// Equal as values part by part (so -0 == +0): what a real entry owes the
+/// complex oracle.
+void expect_equal_values(const std::vector<Amplitude>& got,
+                         const std::vector<Amplitude>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i].real(), want[i].real()) << "amplitude " << i;
+    ASSERT_EQ(got[i].imag(), want[i].imag()) << "amplitude " << i;
+  }
+}
+
+void expect_equal_values(const std::vector<double>& got,
+                         const std::vector<Amplitude>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i], want[i].real()) << "amplitude " << i;
+    ASSERT_EQ(want[i].imag(), 0.0) << "amplitude " << i;
+  }
 }
 
 void expect_close(const std::vector<Amplitude>& got,
@@ -174,6 +242,11 @@ bool same_bytes(std::span<const Amplitude> a, std::span<const Amplitude> b) {
          std::memcmp(a.data(), b.data(), a.size() * sizeof(Amplitude)) == 0;
 }
 
+bool same_bytes(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
 std::string pair_label(const char* backend, const char* ga, const char* gb,
                        unsigned qubits, unsigned ta, unsigned tb) {
   return std::string(backend) + " " + ga + "@" + std::to_string(ta) + " then " +
@@ -181,12 +254,91 @@ std::string pair_label(const char* backend, const char* ga, const char* gb,
          " qubits";
 }
 
+TEST(KernelEquivalence, RealEntryEveryRealGateEveryTargetQubits1To12) {
+  for (unsigned qubits = 1; qubits <= 12; ++qubits) {
+    const auto base = random_state(qubits, 5000 + qubits);
+    const auto real_base = random_real_state(qubits, 6000 + qubits);
+    for (const auto& [gname, gate] : real_zoo()) {
+      for (unsigned target = 0; target < qubits; ++target) {
+        const std::size_t stride = std::size_t{1} << target;
+        auto oracle = base;
+        kernels::scalar_ops().apply_pairs(oracle.data(), oracle.size(), stride,
+                                          coeffs(gate));
+        auto real_oracle = real_base.complex;
+        kernels::scalar_ops().apply_pairs(real_oracle.data(), real_oracle.size(),
+                                          stride, coeffs(gate));
+        for (const auto& [bname, ops] : all_backends()) {
+          SCOPED_TRACE(std::string(bname) + " " + gname + " q" +
+                       std::to_string(qubits) + " t" + std::to_string(target));
+          auto view = base;
+          ops->real_pairs(as_doubles(view), 2 * view.size(), stride << 1,
+                          real_coeffs(gate));
+          expect_equal_values(view, oracle);
+          auto packed = real_base.packed;
+          ops->real_pairs(packed.data(), packed.size(), stride, real_coeffs(gate));
+          expect_equal_values(packed, real_oracle);
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelEquivalence, RealControlledEveryMaskShape) {
+  for (unsigned qubits = 2; qubits <= 12; ++qubits) {
+    const auto base = random_state(qubits, 7000 + qubits);
+    const auto real_base = random_real_state(qubits, 8000 + qubits);
+    for (const auto& [gname, gate] : real_zoo()) {
+      for (unsigned target = 0; target < qubits; ++target) {
+        const std::size_t stride = std::size_t{1} << target;
+        // The mask shapes of ControlledEveryMaskShape: above, below,
+        // straddling, and every other qubit.
+        std::vector<BasisState> masks;
+        if (target + 1 < qubits) masks.push_back(BasisState{1} << (target + 1));
+        if (target >= 1) masks.push_back(BasisState{1} << (target - 1));
+        if (target >= 1 && target + 1 < qubits) {
+          masks.push_back(masks[0] | masks[1]);
+        }
+        masks.push_back(((BasisState{1} << qubits) - 1) & ~BasisState{stride});
+        for (const BasisState mask : masks) {
+          // Fire on |1>, on |0>, and on the lowest control alone.
+          for (const BasisState value : {mask, BasisState{0}, mask & (~mask + 1)}) {
+            auto oracle = base;
+            kernels::scalar_ops().apply_pairs_controlled(
+                oracle.data(), oracle.size(), stride, coeffs(gate), mask, value);
+            auto real_oracle = real_base.complex;
+            kernels::scalar_ops().apply_pairs_controlled(
+                real_oracle.data(), real_oracle.size(), stride, coeffs(gate),
+                mask, value);
+            for (const auto& [bname, ops] : all_backends()) {
+              SCOPED_TRACE(std::string(bname) + " c" + gname + " q" +
+                           std::to_string(qubits) + " t" +
+                           std::to_string(target) + " mask" +
+                           std::to_string(mask) + " value" +
+                           std::to_string(value));
+              auto view = base;
+              ops->real_pairs_controlled(as_doubles(view), 2 * view.size(),
+                                         stride << 1, real_coeffs(gate),
+                                         mask << 1, value << 1);
+              expect_equal_values(view, oracle);
+              auto packed = real_base.packed;
+              ops->real_pairs_controlled(packed.data(), packed.size(), stride,
+                                         real_coeffs(gate), mask, value);
+              expect_equal_values(packed, real_oracle);
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(KernelEquivalence, TwoGateEntryEveryGatePairEveryTargetPair) {
-  const auto backends = vector_backends();
-  if (backends.empty()) GTEST_SKIP() << "no vector backend on this machine";
-  const auto zoo = gate_zoo();
-  for (unsigned qubits = 2; qubits <= 10; ++qubits) {
+  // The real two-gate entry against the complex scalar oracle's two calls:
+  // every real gate pair on every ordered target pair, packed and viewed.
+  const auto zoo = real_zoo();
+  for (unsigned qubits = 2; qubits <= 12; ++qubits) {
     const auto base = random_state(qubits, 3000 + qubits);
+    const auto real_base = random_real_state(qubits, 3100 + qubits);
     for (unsigned ta = 0; ta < qubits; ++ta) {
       for (unsigned tb = 0; tb < qubits; ++tb) {
         if (ta == tb) continue;
@@ -194,16 +346,29 @@ TEST(KernelEquivalence, TwoGateEntryEveryGatePairEveryTargetPair) {
         const std::size_t sb = std::size_t{1} << tb;
         for (const auto& [na, gate_a] : zoo) {
           for (const auto& [nb, gate_b] : zoo) {
-            const auto ga = coeffs(gate_a);
-            const auto gb = coeffs(gate_b);
+            const auto ra = real_coeffs(gate_a);
+            const auto rb = real_coeffs(gate_b);
             auto oracle = base;
-            kernels::scalar_ops().apply_pairs(oracle.data(), oracle.size(), sa, ga);
-            kernels::scalar_ops().apply_pairs(oracle.data(), oracle.size(), sb, gb);
-            for (const auto& [bname, ops] : backends) {
-              auto vec = base;
-              ops->apply_pairs2(vec.data(), vec.size(), sa, ga, sb, gb);
+            kernels::scalar_ops().apply_pairs(oracle.data(), oracle.size(), sa,
+                                              coeffs(gate_a));
+            kernels::scalar_ops().apply_pairs(oracle.data(), oracle.size(), sb,
+                                              coeffs(gate_b));
+            auto real_oracle = real_base.complex;
+            kernels::scalar_ops().apply_pairs(real_oracle.data(),
+                                              real_oracle.size(), sa,
+                                              coeffs(gate_a));
+            kernels::scalar_ops().apply_pairs(real_oracle.data(),
+                                              real_oracle.size(), sb,
+                                              coeffs(gate_b));
+            for (const auto& [bname, ops] : all_backends()) {
               SCOPED_TRACE(pair_label(bname, na, nb, qubits, ta, tb));
-              expect_close(vec, oracle, bname);
+              auto view = base;
+              ops->real_pairs2(as_doubles(view), 2 * view.size(), sa << 1, ra,
+                               sb << 1, rb);
+              expect_equal_values(view, oracle);
+              auto packed = real_base.packed;
+              ops->real_pairs2(packed.data(), packed.size(), sa, ra, sb, rb);
+              expect_equal_values(packed, real_oracle);
             }
           }
         }
@@ -213,11 +378,10 @@ TEST(KernelEquivalence, TwoGateEntryEveryGatePairEveryTargetPair) {
 }
 
 TEST(KernelEquivalence, TwoGateEntryIsItsTwoOneGateCallsByteForByte) {
-  auto backends = vector_backends();
-  backends.insert(backends.begin(), {"scalar", &kernels::scalar_ops()});
-  const auto zoo = gate_zoo();
-  for (unsigned qubits = 2; qubits <= 10; ++qubits) {
+  const auto zoo = real_zoo();
+  for (unsigned qubits = 2; qubits <= 12; ++qubits) {
     const auto base = random_state(qubits, 4000 + qubits);
+    const auto real_base = random_real_state(qubits, 4100 + qubits);
     for (unsigned ta = 0; ta < qubits; ++ta) {
       for (unsigned tb = 0; tb < qubits; ++tb) {
         if (ta == tb) continue;
@@ -225,16 +389,26 @@ TEST(KernelEquivalence, TwoGateEntryIsItsTwoOneGateCallsByteForByte) {
         const std::size_t sb = std::size_t{1} << tb;
         for (const auto& [na, gate_a] : zoo) {
           for (const auto& [nb, gate_b] : zoo) {
-            const auto ga = coeffs(gate_a);
-            const auto gb = coeffs(gate_b);
-            for (const auto& [bname, ops] : backends) {
+            const auto ra = real_coeffs(gate_a);
+            const auto rb = real_coeffs(gate_b);
+            for (const auto& [bname, ops] : all_backends()) {
               auto two_calls = base;
-              ops->apply_pairs(two_calls.data(), two_calls.size(), sa, ga);
-              ops->apply_pairs(two_calls.data(), two_calls.size(), sb, gb);
+              ops->real_pairs(as_doubles(two_calls), 2 * base.size(), sa << 1, ra);
+              ops->real_pairs(as_doubles(two_calls), 2 * base.size(), sb << 1, rb);
               auto paired = base;
-              ops->apply_pairs2(paired.data(), paired.size(), sa, ga, sb, gb);
+              ops->real_pairs2(as_doubles(paired), 2 * base.size(), sa << 1, ra,
+                               sb << 1, rb);
               ASSERT_TRUE(same_bytes(paired, two_calls))
-                  << pair_label(bname, na, nb, qubits, ta, tb);
+                  << "view " << pair_label(bname, na, nb, qubits, ta, tb);
+              auto packed_two_calls = real_base.packed;
+              ops->real_pairs(packed_two_calls.data(), packed_two_calls.size(),
+                              sa, ra);
+              ops->real_pairs(packed_two_calls.data(), packed_two_calls.size(),
+                              sb, rb);
+              auto packed = real_base.packed;
+              ops->real_pairs2(packed.data(), packed.size(), sa, ra, sb, rb);
+              ASSERT_TRUE(same_bytes(packed, packed_two_calls))
+                  << "packed " << pair_label(bname, na, nb, qubits, ta, tb);
             }
           }
         }
@@ -316,6 +490,102 @@ TEST(StatevectorPair, RejectsEqualAndOutOfRangeTargets) {
   EXPECT_THROW(sv.apply_pair(h, 0, h, 3), std::invalid_argument);
   // Nothing was applied: the state is still |000>.
   EXPECT_EQ(sv.amplitude(0), Amplitude(1, 0));
+}
+
+/// Probabilities of every basis state, for a byte comparison.
+std::vector<double> probabilities(const Statevector& sv) {
+  std::vector<double> out;
+  for (std::size_t b = 0; b < sv.dimension(); ++b) out.push_back(sv.probability(b));
+  return out;
+}
+
+TEST(StatevectorReal, WidenedStateEqualsComplexFromStart) {
+  // The same ops on a state that is real until its first complex op and on
+  // one made complex from the start by S then S-dagger (which returns every
+  // value exactly). The first complex op is a gate or a diagonal phase.
+  for (const bool widen_by_diagonal : {false, true}) {
+    const unsigned qubits = 7;
+    Statevector real_first(qubits);
+    Statevector complex_first(qubits);
+    complex_first.apply(gates::s(), 3);
+    complex_first.apply(gates::s_dagger(), 3);
+    ASSERT_FALSE(complex_first.is_real());
+    const unsigned controls[] = {0, 4};
+    auto ops = [&](Statevector& sv, int part) {
+      if (part == 0) {
+        sv.h_all();
+        sv.apply(gates::ry(0.7), 2);
+        sv.cnot(1, 3);
+        sv.apply_pair(gates::ry(1.3), 5, gates::pauli_z(), 0);
+        sv.apply_controlled(gates::hadamard(), controls, 6, BasisState{1});
+        sv.apply_diagonal([](BasisState b) {
+          return (b % 3 == 0) ? Amplitude{-1, 0} : Amplitude{1, 0};
+        });
+        sv.apply_permutation([](BasisState b) { return b ^ ((b & 1) << 5); });
+        return;
+      }
+      if (part == 1) {
+        if (widen_by_diagonal) {
+          sv.apply_diagonal([](BasisState b) {
+            return b < 40 ? Amplitude{1, 0}
+                          : std::polar(1.0, 0.1 * static_cast<double>(b));
+          });
+        } else {
+          sv.apply(gates::t(), 4);
+        }
+        return;
+      }
+      sv.h_all();
+      sv.apply_pair(gates::ry(0.4), 1, gates::rx(0.9), 6);
+      sv.ccx(0, 2, 5);
+      sv.apply_controlled(gates::ry(2.2), controls, 3, BasisState{1} << 4);
+      sv.apply_permutation([](BasisState b) { return b ^ 0b1010; });
+    };
+    for (int part = 0; part < 3; ++part) {
+      ops(real_first, part);
+      ops(complex_first, part);
+      EXPECT_EQ(real_first.is_real(), part == 0) << part;
+    }
+    expect_equal_values(real_first.amplitudes(), complex_first.amplitudes());
+    const auto p_real = probabilities(real_first);
+    const auto p_complex = probabilities(complex_first);
+    EXPECT_TRUE(same_bytes(p_real, p_complex)) << widen_by_diagonal;
+  }
+}
+
+TEST(StatevectorReal, GroverAndAmplitudeEstimationStayRealUntilInverseQft) {
+  // Grover: H layer, iterates, measurement — all real.
+  const unsigned width = 6;
+  const std::vector<BasisState> marked{5, 40};
+  Statevector grover(width);
+  grover.h_all();
+  const Circuit iterate = query::grover_iterate_circuit(width, marked);
+  for (int i = 0; i < 3; ++i) iterate.apply_to(grover);
+  EXPECT_TRUE(grover.is_real());
+  util::Rng rng(3);
+  grover.measure_all(rng);
+  EXPECT_TRUE(grover.is_real());
+
+  // Amplitude estimation, the steps of gate_level_phase_estimation: the
+  // controlled powers of the iterate are real, the inverse QFT is not.
+  const unsigned m = 3;
+  const unsigned precision = 3;
+  const unsigned total = m + precision;
+  Circuit prep(m);
+  for (unsigned q = 0; q < m; ++q) prep.h(q);
+  const Circuit u = query::grover_iterate_circuit(m, {2}).embedded(total, 0);
+  Statevector estimate(total);
+  prep.embedded(total, 0).apply_to(estimate);
+  for (unsigned j = 0; j < precision; ++j) estimate.h(m + j);
+  for (unsigned j = 0; j < precision; ++j) {
+    const Circuit controlled = u.controlled_on(m + j);
+    for (std::uint64_t r = 0; r < (std::uint64_t{1} << j); ++r) {
+      controlled.apply_to(estimate);
+    }
+  }
+  EXPECT_TRUE(estimate.is_real());
+  inverse_qft_circuit(total, m, precision).apply_to(estimate);
+  EXPECT_FALSE(estimate.is_real());
 }
 
 /// One op of a random circuit, kept on the test side so it can be replayed

@@ -731,6 +731,18 @@ TEST(QlintHotPath, FlagsAllocationInCircuitApplyTo) {
   EXPECT_EQ(d[0].line, 6u);
 }
 
+TEST(QlintHotPath, FlagsAllocationInStatevectorWiden) {
+  // Widening turns the packed reals into complex amplitudes in place; a
+  // second buffer there would double the state's peak memory.
+  auto d = lint_source("src/quantum/statevector.cpp",
+                       "void Statevector::widen() {\n"
+                       "  auto wide = std::make_unique<Amplitude[]>(dim);\n"
+                       "}\n");
+  ASSERT_EQ(d.size(), 1u);
+  EXPECT_EQ(d[0].rule, "hot-path-alloc");
+  EXPECT_EQ(d[0].line, 2u);
+}
+
 TEST(QlintHotPath, ColdEngineSetupAllocatesFreely) {
   // set_fault_plan is per-run setup, not the round loop: unreserved growth
   // there is outside the rule's hot-function list.

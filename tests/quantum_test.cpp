@@ -126,6 +126,25 @@ TEST(Statevector, PermutationRejectsNonBijection) {
                std::invalid_argument);
 }
 
+TEST(Statevector, PermutationRejectsCollisionOfZeroAmplitudes) {
+  // From |00>, sources 1 and 2 both carry amplitude 0, so sending both to
+  // 2 keeps the norm at 1: only a check of the images themselves sees it.
+  Statevector sv(2);
+  EXPECT_THROW(sv.apply_permutation([](BasisState b) {
+                 return b == 1 ? BasisState{2} : b;
+               }),
+               std::invalid_argument);
+  EXPECT_EQ(sv.amplitude(0), Amplitude(1, 0));  // the state is unchanged
+  // The same check on a complex state, with the collision on the last image.
+  sv.apply(gates::t(), 0);
+  ASSERT_FALSE(sv.is_real());
+  EXPECT_THROW(sv.apply_permutation([](BasisState b) {
+                 return b == 3 ? BasisState{0} : b;
+               }),
+               std::invalid_argument);
+  EXPECT_EQ(sv.probability(0), 1.0);
+}
+
 TEST(Circuit, InverseUndoesCircuit) {
   Circuit c(3);
   c.h(0).cnot(0, 1).rz(2, 0.7).ccx(0, 1, 2).ry(1, 1.3).cphase(2, 0, 0.9);
