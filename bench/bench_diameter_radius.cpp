@@ -3,6 +3,10 @@
 // Reproduces: quantum O(sqrt(n D)) vs classical Theta(n + D) (full APSP)
 // measured rounds on low-diameter graphs; the success rates; and the
 // radius variant the paper adds over [LM18].
+//
+// BM_ClassicalApsp times the classical baseline alone, over as many
+// iterations as a steady time needs: the perf smoke pins its
+// topology:1/n:128 row, whose `rounds` and `words` are deterministic.
 
 #include <cmath>
 
@@ -63,6 +67,24 @@ BENCHMARK(BM_Diameter)
     ->Args({1, 128})
     ->Args({2, 64})
     ->Iterations(1);
+
+void BM_ClassicalApsp(benchmark::State& state) {
+  const auto kind = static_cast<std::size_t>(state.range(0));
+  const auto n = static_cast<std::size_t>(state.range(1));
+  util::Rng rng(1);
+  const net::Graph g = make_topology(kind, n, rng);
+  EccentricityResult result;
+  for (auto _ : state) {
+    result = diameter_classical(g);
+    benchmark::DoNotOptimize(result.value);
+  }
+  state.counters["rounds"] = static_cast<double>(result.cost.rounds);
+  state.counters["words"] = static_cast<double>(result.cost.classical_words);
+}
+BENCHMARK(BM_ClassicalApsp)
+    ->ArgNames({"topology", "n"})
+    ->Args({1, 128})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_DiameterEchoAblation(benchmark::State& state) {
   // Ablation: the paper's literal "queried node computes its own

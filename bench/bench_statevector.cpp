@@ -5,13 +5,15 @@
 // single tracked ratio rather than a claim. T makes the state complex, so
 // H and CNOT go the way Statevector routes a real gate on a complex state:
 // through the real entries on the buffer read as doubles, qubit t at array
-// bit t + 1. The run covers real plain, real controlled and complex
-// entries. The `speedup` counter is
+// bit t + 1. A packed-real sweep (H on every qubit, one two-gate call at
+// strides 1 and 2, one controlled X) runs on its own array of 2^q doubles,
+// where qubit 0 is array bit 0. The run covers real plain, real two-gate,
+// real controlled and complex entries. The `speedup` counter is
 // wall-clock scalar/active; `backend` encodes the dispatched Backend enum
 // (0 scalar, 1 avx2, 2 neon) — on a machine with no vector ISA both run
 // the same code and speedup sits at ~1. Outside the timed region the final
-// active and scalar vectors are diffed; a gap above 1e-13 fails the run
-// (SkipWithError), and json_main then exits non-zero.
+// active and scalar vectors (complex and packed) are diffed; a gap above
+// 1e-13 fails the run (SkipWithError), and json_main then exits non-zero.
 //
 // E-gatelevel — one gate-level Grover search (query/gate_level.hpp) per
 // iteration: the query layer's iterate driving the kernels, as paper-sweep
@@ -41,11 +43,22 @@ using namespace qcongest;
 using namespace qcongest::quantum;
 
 /// One brickwork layer sweep over every qubit with the given kernel table,
-/// from |0...0> into `amps`.
+/// from |0...0> into `amps`, and a packed-real sweep into `reals`. On the
+/// complex view qubit t is array bit t + 1, so only the packed part reaches
+/// array bit 0 (stride 1); it starts from an uneven normalized ramp, where a
+/// wrong lane order there changes values.
 double run_circuit_ns(unsigned qubits, const kernels::KernelOps& ops,
-                      int layers, std::vector<Amplitude>& amps) {
+                      int layers, std::vector<Amplitude>& amps,
+                      std::vector<double>& reals) {
   amps.assign(std::size_t{1} << qubits, Amplitude{0, 0});
   amps[0] = Amplitude{1, 0};
+  reals.resize(amps.size());
+  double norm = 0.0;
+  for (std::size_t i = 0; i < reals.size(); ++i) {
+    reals[i] = 1.0 + static_cast<double>(i % 5);
+    norm += reals[i] * reals[i];
+  }
+  for (double& r : reals) r /= std::sqrt(norm);
   auto real = [](const Gate1& g) {
     return kernels::RealCoeffs{g(0, 0).real(), g(0, 1).real(),
                                g(1, 0).real(), g(1, 1).real()};
@@ -68,9 +81,15 @@ double run_circuit_ns(unsigned qubits, const kernels::KernelOps& ops,
       ops.real_pairs_controlled(view, len, std::size_t{2} << (q + 1), x,
                                 BasisState{2} << q, BasisState{2} << q);
     }
+    for (unsigned q = 0; q < qubits; ++q) {
+      ops.real_pairs(reals.data(), reals.size(), std::size_t{1} << q, h);
+    }
+    ops.real_pairs2(reals.data(), reals.size(), 1, h, 2, x);
+    ops.real_pairs_controlled(reals.data(), reals.size(), 1, x, 2, 2);
   }
   const auto end = std::chrono::steady_clock::now();
   benchmark::DoNotOptimize(amps.data());
+  benchmark::DoNotOptimize(reals.data());
   return static_cast<double>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(end - start)
           .count());
@@ -81,18 +100,22 @@ void BM_DenseGateKernels(benchmark::State& state) {
   const int layers = 8;
   double active_ns = 0, scalar_ns = 0;
   std::vector<Amplitude> active, scalar;
+  std::vector<double> active_reals, scalar_reals;
   for (auto _ : state) {
     active_ns = bench::median_of(5, [&] {
-      return run_circuit_ns(qubits, kernels::active_ops(), layers, active);
+      return run_circuit_ns(qubits, kernels::active_ops(), layers, active,
+                            active_reals);
     });
     scalar_ns = bench::median_of(5, [&] {
-      return run_circuit_ns(qubits, kernels::scalar_ops(), layers, scalar);
+      return run_circuit_ns(qubits, kernels::scalar_ops(), layers, scalar,
+                            scalar_reals);
     });
   }
   double gap = 0.0;
   for (std::size_t i = 0; i < active.size(); ++i) {
     gap = std::max({gap, std::abs(active[i].real() - scalar[i].real()),
-                    std::abs(active[i].imag() - scalar[i].imag())});
+                    std::abs(active[i].imag() - scalar[i].imag()),
+                    std::abs(active_reals[i] - scalar_reals[i])});
   }
   if (gap > 1e-13) {
     state.SkipWithError("active backend disagrees with the scalar oracle");

@@ -38,12 +38,15 @@ HISTORY_FILE=${BASELINE_DIR}/PERF_HISTORY.jsonl
 # the clean + faulty BFS rows of the reliable-transport overhead bench,
 # two recovery-tax rows (full replay vs dense checkpoints) whose
 # recovery_rounds/recovery_words counters pin the E-recover accounting,
-# and one gate-level Grover search whose gate_ops counter pins the size of
-# the iterate the statevector kernels run.
+# one gate-level Grover search whose gate_ops counter pins the size of
+# the iterate the statevector kernels run, and Lemma 21's classical APSP
+# baseline (multi-source BFS from every node), whose rounds/words counters
+# pin its send schedule.
 FRAMEWORK_FILTER='BM_BatchCost/n:64/k:1024/p:8/q:10|BM_ParallelismSweep/p:(1|32)/'
 FAULT_FILTER='BM_FaultOverheadBfs/drop_permille:(0|50)/n:31'
 RECOVER_FILTER='BM_RecoveryTaxBfs/ckpt_every:(0|2)/n:31'
 STATEVECTOR_FILTER='BM_GroverIterate/qubits:14'
+DIAMETER_FILTER='BM_ClassicalApsp/topology:1/n:128'
 
 if [ -n "${QCONGEST_SMOKE_OUT:-}" ]; then
   OUT_DIR=${QCONGEST_SMOKE_OUT}
@@ -58,6 +61,7 @@ export QCONGEST_BENCH_JSON_DIR="${OUT_DIR}"
 "${BUILD_DIR}/bench/bench_fault_overhead" --benchmark_filter="${FAULT_FILTER}"
 "${BUILD_DIR}/bench/bench_recovery" --benchmark_filter="${RECOVER_FILTER}"
 "${BUILD_DIR}/bench/bench_statevector" --benchmark_filter="${STATEVECTOR_FILTER}"
+"${BUILD_DIR}/bench/bench_diameter_radius" --benchmark_filter="${DIAMETER_FILTER}"
 
 # The perf-trajectory label: which commit this run is being compared (or
 # re-recorded) against, readable without checking out the repo.

@@ -3,10 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <stdexcept>
-#include <unordered_map>
+#include <utility>
 
 #include "src/framework/distributed_oracle.hpp"
 #include "src/net/bfs.hpp"
@@ -28,6 +29,10 @@ constexpr std::int32_t kTagCycleToken = 30;
 /// candidate (every candidate contains a genuine cycle of at most its
 /// length, and the minimum over all sources of all candidates is exactly
 /// the girth — the [PRT12]-style analysis used by [CFGGLO20]).
+///
+/// Each neighbor's queue is a min-heap of (dist, source): a source is
+/// forwarded at most once, so its keys are unique and the heap pops them in
+/// ascending order.
 class CycleBfsProgram final : public net::NodeProgram {
  public:
   CycleBfsProgram(const std::vector<net::NodeId>* sources,
@@ -39,6 +44,8 @@ class CycleBfsProgram final : public net::NodeProgram {
   void on_round(net::Context& ctx, std::span<const net::Message> inbox) override {
     if (!(*active_)[ctx.id()]) return;
     if (ctx.round() == 0) {
+      seen_.assign(sources_->size(), net::kUnreachable);
+      first_from_.assign(sources_->size(), net::kUnreachable);
       outbox_.resize(ctx.neighbors().size());
       for (std::size_t i = 0; i < sources_->size(); ++i) {
         if ((*sources_)[i] == ctx.id()) accept(ctx, i, 0, net::kUnreachable);
@@ -53,9 +60,9 @@ class CycleBfsProgram final : public net::NodeProgram {
       auto& queue = outbox_[ni];
       for (std::size_t budget = ctx.bandwidth(); budget > 0 && !queue.empty();
            --budget) {
-        auto it = queue.begin();
-        auto [d, src] = it->first;
-        queue.erase(it);
+        std::pop_heap(queue.begin(), queue.end(), std::greater<>{});
+        auto [d, src] = queue.back();
+        queue.pop_back();
         ctx.send(ctx.neighbors()[ni],
                  net::Word{kTagCycleToken, static_cast<std::int64_t>(src),
                            static_cast<std::int64_t>(d + 1), false});
@@ -65,34 +72,35 @@ class CycleBfsProgram final : public net::NodeProgram {
 
  private:
   void accept(net::Context& ctx, std::size_t src, std::size_t d, net::NodeId from) {
-    auto it = seen_.find(src);
-    if (it != seen_.end()) {
+    if (src >= seen_.size()) throw std::logic_error("cycle_bfs: bad source index");
+    if (seen_[src] != net::kUnreachable) {
       // Second token for this source: a meeting. Ignore echoes from the
       // neighbor we first heard this source from (the "parent" edge).
       if (from != first_from_[src]) {
-        candidate_ = std::min(candidate_,
-                              static_cast<std::int64_t>(it->second + d));
+        candidate_ = std::min(candidate_, static_cast<std::int64_t>(seen_[src] + d));
       }
       return;
     }
-    seen_.emplace(src, d);
+    seen_[src] = d;
     first_from_[src] = from;
     if (d >= depth_limit_) return;
     for (std::size_t ni = 0; ni < ctx.neighbors().size(); ++ni) {
       net::NodeId u = ctx.neighbors()[ni];
       if (u == from) continue;              // never echo straight back
       if (!(*active_)[u]) continue;         // restricted subgraph G'
-      outbox_[ni].emplace(std::pair{d, src}, 0);
+      outbox_[ni].emplace_back(d, src);
+      std::push_heap(outbox_[ni].begin(), outbox_[ni].end(), std::greater<>{});
     }
   }
 
   const std::vector<net::NodeId>* sources_;
   const std::vector<bool>* active_;
   std::size_t depth_limit_;
-  std::unordered_map<std::size_t, std::size_t> seen_;        // source -> dist
-  std::unordered_map<std::size_t, net::NodeId> first_from_;  // source -> sender
+  std::vector<std::size_t> seen_;         // source -> dist, kUnreachable if unseen
+  std::vector<net::NodeId> first_from_;  // source -> sender
   std::int64_t candidate_ = kNoCycle;
-  std::vector<std::map<std::pair<std::size_t, std::size_t>, int>> outbox_;
+  // Per-neighbor min-heap of (dist, source) tokens.
+  std::vector<std::vector<std::pair<std::size_t, std::size_t>>> outbox_;
 };
 
 constexpr std::int32_t kTagPerSource = 31;

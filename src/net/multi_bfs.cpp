@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <deque>
-#include <map>
+#include <functional>
 #include <memory>
 #include <stdexcept>
+#include <utility>
 
 namespace qcongest::net {
 
@@ -17,6 +18,12 @@ constexpr std::int32_t kTagBfsDist = 20;
 /// prioritized by distance (smaller first), which yields the O(|S| + D)
 /// schedule of [PRT12; HW12]. Late improvements re-trigger forwarding, so
 /// the final distances are exact regardless of queueing delays.
+///
+/// Every neighbor is owed the same tokens, so one queue serves them all: a
+/// relaxation is pushed once, and each round the node pops its <= B live
+/// tokens once and sends them to each neighbor in turn. A source's distance
+/// only decreases, so no (distance, source) key is pushed twice and the
+/// min-heap pops exactly the ascending key order.
 class MultiBfsProgram final : public NodeProgram {
  public:
   MultiBfsProgram(const std::vector<NodeId>* sources, std::size_t depth_limit)
@@ -29,112 +36,109 @@ class MultiBfsProgram final : public NodeProgram {
     if (ctx.round() == 0) {
       dist_.assign(sources_->size(), kUnreachable);
       parent_.assign(sources_->size(), kUnreachable);
-      outbox_.resize(ctx.neighbors().size());
       for (std::size_t i = 0; i < sources_->size(); ++i) {
-        if ((*sources_)[i] == ctx.id()) relax(ctx, i, 0, kUnreachable);
+        if ((*sources_)[i] == ctx.id()) relax(i, 0, kUnreachable);
       }
     }
     for (const Message& m : inbox) {
       if (m.word.tag != kTagBfsDist) continue;
-      relax(ctx, static_cast<std::size_t>(m.word.a),
-            static_cast<std::size_t>(m.word.b), m.from);
+      relax(static_cast<std::size_t>(m.word.a), static_cast<std::size_t>(m.word.b),
+            m.from);
     }
-    // Send up to B queued tokens per neighbor, smallest distance first.
-    // Stale entries (already improved upon) are skipped for free.
-    for (std::size_t ni = 0; ni < ctx.neighbors().size(); ++ni) {
-      auto& queue = outbox_[ni];
-      std::size_t budget = ctx.bandwidth();
-      while (!queue.empty() && budget > 0) {
-        auto it = queue.begin();
-        auto [d, src] = it->first;
-        queue.erase(it);
-        if (d != dist_[src]) continue;  // superseded by a later relaxation
-        ctx.send(ctx.neighbors()[ni],
-                 Word{kTagBfsDist, static_cast<std::int64_t>(src),
-                      static_cast<std::int64_t>(d + 1), false});
-        --budget;
+    // Pop up to B live tokens, smallest first, into the tail of the queue
+    // vector; stale entries (already improved upon) ride along unsent.
+    std::size_t heap_end = queue_.size();
+    for (std::size_t live = 0; heap_end > 0 && live < ctx.bandwidth();) {
+      std::pop_heap(queue_.begin(),
+                    queue_.begin() + static_cast<std::ptrdiff_t>(heap_end),
+                    std::greater<>{});
+      --heap_end;
+      if (is_live(queue_[heap_end])) ++live;
+    }
+    // Neighbor-major, ascending within a neighbor: the tail holds the
+    // popped tokens largest first.
+    for (NodeId u : ctx.neighbors()) {
+      for (std::size_t i = queue_.size(); i > heap_end; --i) {
+        if (!is_live(queue_[i - 1])) continue;
+        const auto [d, src] = queue_[i - 1];
+        ctx.send(u, Word{kTagBfsDist, static_cast<std::int64_t>(src),
+                         static_cast<std::int64_t>(d + 1), false});
       }
     }
+    queue_.resize(heap_end);
   }
 
   bool snapshot(std::vector<std::int64_t>& out) const override {
     out.push_back(static_cast<std::int64_t>(dist_.size()));
     for (std::size_t d : dist_) out.push_back(static_cast<std::int64_t>(d));
     for (NodeId p : parent_) out.push_back(static_cast<std::int64_t>(p));
-    out.push_back(static_cast<std::int64_t>(outbox_.size()));
-    for (const auto& queue : outbox_) {
-      out.push_back(static_cast<std::int64_t>(queue.size()));
-      for (const auto& [key, unused] : queue) {
-        (void)unused;
-        out.push_back(static_cast<std::int64_t>(key.first));
-        out.push_back(static_cast<std::int64_t>(key.second));
-      }
+    std::vector<Token> sorted = queue_;
+    std::sort(sorted.begin(), sorted.end());
+    out.push_back(static_cast<std::int64_t>(sorted.size()));
+    for (const auto& [d, src] : sorted) {
+      out.push_back(static_cast<std::int64_t>(d));
+      out.push_back(static_cast<std::int64_t>(src));
     }
     return true;
   }
 
   bool restore(std::uint32_t version, std::span<const std::int64_t> words) override {
-    if (version != 1) return false;
+    if (version != 2) return false;
     std::size_t pos = 0;
-    auto take = [&](std::int64_t& out) {
-      if (pos >= words.size()) return false;
-      out = words[pos++];
-      return true;
+    // A count must fit in what is left of the words, two words per item.
+    auto take_count = [&](std::size_t& out) {
+      if (pos >= words.size() || words[pos] < 0) return false;
+      out = static_cast<std::size_t>(words[pos++]);
+      return out <= (words.size() - pos) / 2;
     };
-    std::int64_t w = 0;
-    if (!take(w)) return false;
-    const auto slots = static_cast<std::size_t>(w);
+    std::size_t slots = 0;
+    if (!take_count(slots)) return false;
     std::vector<std::size_t> dist(slots);
     std::vector<NodeId> parent(slots);
     for (std::size_t i = 0; i < slots; ++i) {
-      if (!take(w)) return false;
-      dist[i] = static_cast<std::size_t>(w);
+      dist[i] = static_cast<std::size_t>(words[pos + i]);
+      parent[i] = static_cast<NodeId>(words[pos + slots + i]);
     }
-    for (std::size_t i = 0; i < slots; ++i) {
-      if (!take(w)) return false;
-      parent[i] = static_cast<NodeId>(w);
+    pos += 2 * slots;
+    std::size_t entries = 0;
+    if (!take_count(entries) || pos + 2 * entries != words.size()) return false;
+    std::vector<Token> queue(entries);
+    for (std::size_t i = 0; i < entries; ++i) {
+      const std::int64_t d = words[pos + 2 * i];
+      const std::int64_t src = words[pos + 2 * i + 1];
+      if (d < 0 || src < 0 || static_cast<std::size_t>(src) >= slots) return false;
+      queue[i] = Token{static_cast<std::size_t>(d), static_cast<std::size_t>(src)};
+      if (i > 0 && !(queue[i - 1] < queue[i])) return false;  // sorted, unique
     }
-    if (!take(w)) return false;
-    std::vector<std::map<std::pair<std::size_t, std::size_t>, int>> outbox(
-        static_cast<std::size_t>(w));
-    for (auto& queue : outbox) {
-      if (!take(w)) return false;
-      for (auto entries = static_cast<std::size_t>(w); entries > 0; --entries) {
-        std::int64_t d = 0;
-        std::int64_t src = 0;
-        if (!take(d) || !take(src)) return false;
-        queue.emplace(std::pair{static_cast<std::size_t>(d),
-                                static_cast<std::size_t>(src)},
-                      0);
-      }
-    }
-    if (pos != words.size()) return false;
+    std::make_heap(queue.begin(), queue.end(), std::greater<>{});
     dist_ = std::move(dist);
     parent_ = std::move(parent);
-    outbox_ = std::move(outbox);
+    queue_ = std::move(queue);
     return true;
   }
 
-  std::uint32_t state_version() const override { return 1; }
+  std::uint32_t state_version() const override { return 2; }
 
  private:
-  void relax(Context& ctx, std::size_t src, std::size_t d, NodeId from) {
+  using Token = std::pair<std::size_t, std::size_t>;  // (distance, source)
+
+  bool is_live(const Token& t) const { return t.first == dist_[t.second]; }
+
+  void relax(std::size_t src, std::size_t d, NodeId from) {
     if (src >= dist_.size()) throw std::logic_error("multi_bfs: bad source index");
     if (d >= dist_[src]) return;
     dist_[src] = d;
     parent_[src] = from;
     if (d >= depth_limit_) return;  // do not propagate past the depth limit
-    for (std::size_t ni = 0; ni < ctx.neighbors().size(); ++ni) {
-      outbox_[ni].emplace(std::pair{d, src}, 0);
-    }
+    queue_.emplace_back(d, src);
+    std::push_heap(queue_.begin(), queue_.end(), std::greater<>{});
   }
 
   const std::vector<NodeId>* sources_;
   std::size_t depth_limit_;  // qlint-allow(unsnapshotted-state): factory-reconstructed config
   std::vector<std::size_t> dist_;
   std::vector<NodeId> parent_;
-  // Per-neighbor priority queue keyed by (distance, source).
-  std::vector<std::map<std::pair<std::size_t, std::size_t>, int>> outbox_;
+  std::vector<Token> queue_;  // min-heap of the tokens every neighbor is owed
 };
 
 constexpr std::int32_t kTagEchoParent = 21;

@@ -273,6 +273,7 @@ void Server::accept_new() {
 
 void Server::run() {
   std::vector<pollfd> fds;
+  bool last_read_done = false;
   while (true) {
     if (stop_requested_.load(std::memory_order_relaxed)) stopping_ = true;
 
@@ -291,7 +292,19 @@ void Server::run() {
       }
       if (!replies_pending && !output_pending &&
           service_->stats().pending == 0) {
-        break;
+        if (last_read_done) break;
+        // One last read of every connection: a submit that reached the
+        // socket after the kShutdown, in a later read, still gets its
+        // kRejected shutting_down. Reading ends here, so the loop only
+        // flushes what this read queued.
+        last_read_done = true;
+        std::vector<int> reset;
+        for (auto& [fd, conn] : connections_) {
+          if (!conn.closing && !service_input(conn)) reset.push_back(fd);
+          conn.closing = true;
+        }
+        for (int fd : reset) close_connection(connections_.find(fd));
+        continue;
       }
     }
 
@@ -361,11 +374,13 @@ void Server::run() {
   }
 
   // Reactor exit: close the listen socket so no new tenants arrive during
-  // teardown; remaining connections close in the destructor.
+  // teardown, and every connection, so a peer whose later bytes will never
+  // be read sees end of stream now, not when the Server is destroyed.
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
+  while (!connections_.empty()) close_connection(connections_.begin());
 }
 
 }  // namespace qcongest::serve

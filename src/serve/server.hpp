@@ -42,8 +42,11 @@ struct ServerConfig {
 ///    nonblocking, and the reactor never blocks on any one peer;
 ///  - replies addressed to a connection that vanished are dropped;
 ///  - a kShutdown frame (or request_stop from a signal handler) stops
-///    accepting, lets admitted jobs finish, flushes every reply, then
-///    returns from run().
+///    accepting, lets admitted jobs finish, flushes every reply, reads
+///    every connection once more without blocking (a submit already there
+///    gets kRejected shutting_down), then closes every connection and
+///    returns from run(). That last read only narrows the race: a submit
+///    that arrives after it gets end of stream, not a kRejected.
 class Server {
  public:
   explicit Server(ServerConfig config);

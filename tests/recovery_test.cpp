@@ -337,6 +337,46 @@ TEST(RecoveryDirect, AmnesiaWithoutRecoveryDegradesToCrashStop) {
   EXPECT_EQ(wiped.result.crashed_nodes, 1u);
 }
 
+TEST(RecoveryDirect, MultiSourceBfsAmnesiaMidRunKeepsExactDistances) {
+  // The star's center relays every leaf's token. After round 1 it holds each
+  // source's final distance and a queue of tokens the leaves still need,
+  // while everything sent to it is a worse offer, so the window's dropped
+  // arrivals are redundant and only the restored queue can finish the BFS.
+  const Graph g = net::star_graph(16);
+  const std::size_t n = g.num_nodes();
+  std::vector<NodeId> sources(n);
+  for (NodeId v = 0; v < n; ++v) sources[v] = v;
+
+  auto run = [&](bool with_fault) {
+    Engine engine(g, 1, 13);
+    if (with_fault) {
+      FaultPlan plan;
+      plan.crashes.push_back(CrashEvent{0, 4, 8});
+      plan.crashes[0].amnesia = true;
+      engine.set_fault_plan(plan);
+      RecoveryPolicy recovery;
+      recovery.enabled = true;
+      recovery.checkpoint.every_rounds = 1;
+      engine.set_recovery(recovery);
+    }
+    return net::multi_source_bfs(engine, sources, n);
+  };
+
+  net::MultiBfsResult clean = run(false);
+  net::MultiBfsResult recovered = run(true);
+  ASSERT_TRUE(recovered.cost.completed);
+  ASSERT_GT(clean.cost.rounds, 8u);  // the crash lands mid-BFS
+  EXPECT_EQ(recovered.dist, clean.dist);
+  EXPECT_EQ(recovered.parent, clean.parent);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto truth = g.bfs_distances(sources[i]);
+    for (NodeId v = 0; v < n; ++v) EXPECT_EQ(recovered.dist[v][i], truth[v]);
+  }
+  EXPECT_EQ(recovered.cost.crashed_nodes, 1u);
+  EXPECT_GE(recovered.cost.recovery_rounds, 1u);
+  EXPECT_EQ(recovered.cost.recovery_words, 0u);
+}
+
 // --- Reliable-transport recovery: neighbor-assisted replay --------------
 
 TEST(RecoveryReliable, BfsTreeSurvivesAmnesiaWithNonzeroTax) {

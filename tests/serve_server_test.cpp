@@ -1,7 +1,7 @@
 // The qcongestd network front end over loopback sockets: the protocol
 // branches of serve::Server that the frame codec tests cannot reach — a
-// ping, a submit that arrives while the server drains, and a connection
-// beyond the limit.
+// ping, a submit that arrives while the server drains, a submit after
+// run() has returned, and a connection beyond the limit.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +11,7 @@
 #include <sys/time.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -54,6 +55,14 @@ class Client {
       bytes.remove_prefix(static_cast<std::size_t>(n));
     }
     return true;
+  }
+
+  /// True when the peer has closed the stream (end of stream or a reset);
+  /// false on data or a receive timeout.
+  bool peer_closed() {
+    char buf[4096];
+    const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
+    return n == 0 || (n < 0 && (errno == ECONNRESET || errno == EPIPE));
   }
 
   /// The next frame; false at end of stream, on a timeout or a framing
@@ -155,6 +164,21 @@ TEST(ServeServer, SubmitAfterShutdownIsRejectedWithItsId) {
   const Server::Stats stats = server.join_and_stats();
   EXPECT_EQ(stats.frames_received, 3u);
   EXPECT_EQ(stats.protocol_errors, 0u);
+}
+
+TEST(ServeServer, SubmitAfterRunReturnsSeesTheConnectionClosed) {
+  RunningServer server(small_config());
+  ASSERT_TRUE(server.started());
+  Client client(server.port());
+  ASSERT_TRUE(client.connected());
+  ASSERT_TRUE(client.send_all(encode_frame(FrameType::kShutdown, "")));
+  EXPECT_EQ(server.join_and_stats().frames_received, 1u);
+  // run() has returned while the Server lives on: nothing reads this
+  // connection any more, so the submit must meet a closed stream, not
+  // silence until the receive timeout.
+  const bool sent = client.send_all(
+      encode_frame(FrameType::kSubmit, "id=late-2\napp=leader\nnodes=9\nseed=3\n"));
+  EXPECT_TRUE(!sent || client.peer_closed());
 }
 
 TEST(ServeServer, ConnectionBeyondTheLimitGetsOneErrorFrameAndIsClosed) {

@@ -7,13 +7,13 @@
 //     1.25, i.e. a >25% regression fails). Runs faster than --min-ns
 //     (default 1e6 ns) in the baseline are skipped — sub-millisecond
 //     timings are noise, not signal.
-//   * deterministic counters (rounds, batches, measured, bound,
+//   * deterministic counters (rounds, words, batches, measured, bound,
 //     retransmissions, gate_ops, gate_passes): any drift at all fails.
-//     These are seeded round counts, circuit sizes and kernel-call counts,
-//     identical on every machine, so they catch algorithmic cost
-//     regressions even when the runner is faster than the machine that
-//     recorded the baseline (which makes the wall-clock gate lenient,
-//     never spurious).
+//     These are seeded round and word counts, circuit sizes and
+//     kernel-call counts, identical on every machine, so they catch
+//     algorithmic cost regressions even when the runner is faster than
+//     the machine that recorded the baseline (which makes the wall-clock
+//     gate lenient, never spurious).
 //
 // With --report the two files are REPORT_*.json run reports instead
 // (src/obs/run_report.hpp): schema-versioned documents whose determinism
@@ -59,11 +59,12 @@ struct BenchRun {
   std::map<std::string, double> counters;  // every other numeric field
 };
 
-/// Counters that are deterministic functions of the seed (round counts,
-/// ledger totals, circuit op and kernel-call counts), so any drift is a
-/// real behavioural change, not noise.
-const char* kExactCounters[] = {"measured", "bound",           "ratio",    "rounds",
-                                "batches",  "retransmissions", "gate_ops", "gate_passes"};
+/// Counters that are deterministic functions of the seed (round and word
+/// counts, ledger totals, circuit op and kernel-call counts), so any drift
+/// is a real behavioural change, not noise.
+const char* kExactCounters[] = {"measured", "bound",    "ratio",       "rounds",
+                                "words",    "batches",  "retransmissions",
+                                "gate_ops", "gate_passes"};
 
 bool exact_counter(const std::string& name) {
   for (const char* c : kExactCounters) {
