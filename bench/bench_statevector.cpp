@@ -1,19 +1,21 @@
 // E-hotpath (kernel front) — dense statevector gate throughput under the
 // runtime-dispatched kernels. One dense brickwork circuit (H + T + CNOT
 // layers, every target position) per qubit count, once through the active
-// backend and once pinned to the scalar oracle, so the SIMD speedup is a
-// single tracked ratio rather than a claim. T makes the state complex, so
-// H and CNOT go the way Statevector routes a real gate on a complex state:
-// through the real entries on the buffer read as doubles, qubit t at array
-// bit t + 1. A packed-real sweep (H on every qubit, one two-gate call at
-// strides 1 and 2, one controlled X) runs on its own array of 2^q doubles,
-// where qubit 0 is array bit 0. The run covers real plain, real two-gate,
-// real controlled and complex entries. The `speedup` counter is
+// backend's real entries and once through the scalar ones, so the SIMD
+// speedup is a single tracked ratio rather than a claim. T makes the state
+// complex, so H and CNOT go the way Statevector routes a real gate on a
+// complex state: through the real entries on the buffer read as doubles,
+// qubit t at array bit t + 1. The T layer runs the one complex loop on
+// both sides, so it adds the same time to each and measures no backend.
+// A packed-real sweep (H on every qubit, one two-gate call at strides 1
+// and 2, one controlled X) runs on its own array of 2^q doubles, where
+// qubit 0 is array bit 0. The run covers the real plain, two-gate and
+// controlled entries and the complex loop. The `speedup` counter is
 // wall-clock scalar/active; `backend` encodes the dispatched Backend enum
-// (0 scalar, 1 avx2, 2 neon) — on a machine with no vector ISA both run
-// the same code and speedup sits at ~1. Outside the timed region the final
-// active and scalar vectors (complex and packed) are diffed; a gap above
-// 1e-13 fails the run (SkipWithError), and json_main then exits non-zero.
+// (0 scalar, 1 avx2) — on a machine without AVX2 both run the same code
+// and speedup sits at ~1. Outside the timed region the final active and
+// scalar vectors (complex and packed) are diffed; a gap above 1e-13 fails
+// the run (SkipWithError), and json_main then exits non-zero.
 //
 // E-gatelevel — one gate-level Grover search (query/gate_level.hpp) per
 // iteration: the query layer's iterate driving the kernels, as paper-sweep
@@ -42,7 +44,7 @@ namespace {
 using namespace qcongest;
 using namespace qcongest::quantum;
 
-/// One brickwork layer sweep over every qubit with the given kernel table,
+/// One brickwork layer sweep over every qubit with the given real entries,
 /// from |0...0> into `amps`, and a packed-real sweep into `reals`. On the
 /// complex view qubit t is array bit t + 1, so only the packed part reaches
 /// array bit 0 (stride 1); it starts from an uneven normalized ramp, where a
@@ -75,7 +77,7 @@ double run_circuit_ns(unsigned qubits, const kernels::KernelOps& ops,
       ops.real_pairs(view, len, std::size_t{2} << q, h);
     }
     for (unsigned q = 0; q < qubits; ++q) {
-      ops.apply_pairs(amps.data(), amps.size(), std::size_t{1} << q, ct);
+      kernels::apply_pairs(amps.data(), amps.size(), std::size_t{1} << q, ct);
     }
     for (unsigned q = 0; q + 1 < qubits; ++q) {
       ops.real_pairs_controlled(view, len, std::size_t{2} << (q + 1), x,

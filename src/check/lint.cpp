@@ -642,7 +642,7 @@ void check_lock_across_submit(RuleCtx& ctx) {
 // --- Rule: untrusted-narrowing ----------------------------------------------
 
 const char* kWireSources[] = {"get_u16", "get_u32", "get_u64"};
-const char* kOutParamSources[] = {"parse_u64", "parse_size", "parse_u64_arg"};
+const char* kOutParamSources[] = {"parse_u64", "parse_size"};
 /// Integer types narrower than the std::uint64_t the wire parsers produce.
 const char* kNarrowTypes[] = {
     "char",     "short",    "int",      "unsigned", "int8_t",  "int16_t",
@@ -740,7 +740,7 @@ void check_untrusted_narrowing(RuleCtx& ctx) {
         }
       }
       // `parse_u64(text, &x)`: the out-param becomes tainted.
-      if (in_list(t.text, kOutParamSources, 3)) {
+      if (in_list(t.text, kOutParamSources, 2)) {
         std::size_t end = match_paren(code, i + 1);
         for (std::size_t j = i + 2; end != std::string::npos && j + 1 < end; ++j) {
           // Only a whole `&x` argument taints x; `&out->field` writes

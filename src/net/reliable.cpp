@@ -8,6 +8,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/util/rng.hpp"
+
 namespace qcongest::net {
 
 namespace {
@@ -40,16 +42,9 @@ constexpr std::size_t kLogMargin = 4;
 /// Unreachable under the documented pruning margin; kept for honesty.
 constexpr std::uint32_t kRecUnavailable = 0xFFFFFFFFu;
 
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
 std::uint32_t fold30(std::initializer_list<std::uint64_t> fields) {
   std::uint64_t h = kChecksumSalt;
-  for (std::uint64_t f : fields) h = mix64(h ^ f);
+  for (std::uint64_t f : fields) h = util::mix64(h ^ f);
   return static_cast<std::uint32_t>(h & kChecksumMask);
 }
 
@@ -839,10 +834,10 @@ class ReliableProgram final : public NodeProgram {
           std::size_t backoff = std::min(fl.rto * 2, params_.rto_cap);
           std::size_t spread = backoff / 4;
           if (spread > 1) {
-            std::uint64_t h = mix64(
-                mix64(kChecksumSalt ^
-                      (static_cast<std::uint64_t>(id_) << 40) ^
-                      (static_cast<std::uint64_t>(peer) << 20) ^ seq) ^
+            std::uint64_t h = util::mix64(
+                util::mix64(kChecksumSalt ^
+                            (static_cast<std::uint64_t>(id_) << 40) ^
+                            (static_cast<std::uint64_t>(peer) << 20) ^ seq) ^
                 fl.rto);
             backoff -= static_cast<std::size_t>(h % spread);
           }

@@ -1,20 +1,19 @@
 #include "src/quantum/kernels.hpp"
 
 namespace qcongest::quantum::kernels {
-namespace {
 
-// --- Scalar oracle ----------------------------------------------------------
+// --- Complex loops ----------------------------------------------------------
 //
 // These are the historical Statevector::apply loops verbatim. Strided pair
 // iteration: the 0-side indices of the (b, b | 1<<target) pairs are exactly
 // the runs [base, base + stride) for base stepping by 2 * stride, so the
 // inner loop is branch-free — no per-index bit test — and walks two
 // contiguous ranges the hardware prefetcher likes. No structure detection
-// here on purpose: the oracle stays the plain formula every backend is
+// here on purpose: the oracle stays the plain formula every real entry is
 // diffed against.
 
-void scalar_pairs(Amplitude* amps, std::size_t dim, std::size_t stride,
-                  const Gate1Coeffs& g) {
+void apply_pairs(Amplitude* amps, std::size_t dim, std::size_t stride,
+                 const Gate1Coeffs& g) {
   for (std::size_t base = 0; base < dim; base += 2 * stride) {
     Amplitude* lo = amps + base;
     Amplitude* hi = lo + stride;
@@ -27,10 +26,9 @@ void scalar_pairs(Amplitude* amps, std::size_t dim, std::size_t stride,
   }
 }
 
-void scalar_pairs_controlled(Amplitude* amps, std::size_t dim,
-                             std::size_t stride, const Gate1Coeffs& g,
-                             BasisState control_mask,
-                             BasisState control_value) {
+void apply_pairs_controlled(Amplitude* amps, std::size_t dim,
+                            std::size_t stride, const Gate1Coeffs& g,
+                            BasisState control_mask, BasisState control_value) {
   for (std::size_t base = 0; base < dim; base += 2 * stride) {
     Amplitude* lo = amps + base;
     Amplitude* hi = lo + stride;
@@ -44,8 +42,12 @@ void scalar_pairs_controlled(Amplitude* amps, std::size_t dim,
   }
 }
 
-// The real entries are the same loops over a double array with real
-// coefficients; the two-gate entry is its two one-gate calls.
+namespace {
+
+// --- Scalar real entries ----------------------------------------------------
+//
+// The same loops over a double array with real coefficients; the two-gate
+// entry is its two one-gate calls.
 void scalar_real_pairs(double* x, std::size_t len, std::size_t stride,
                        const RealCoeffs& g) {
   for (std::size_t base = 0; base < len; base += 2 * stride) {
@@ -84,39 +86,23 @@ void scalar_real_pairs_controlled(double* x, std::size_t len,
   }
 }
 
-constexpr KernelOps kScalarOps{scalar_pairs, scalar_pairs_controlled,
-                               scalar_real_pairs, scalar_real_pairs2,
+constexpr KernelOps kScalarOps{scalar_real_pairs, scalar_real_pairs2,
                                scalar_real_pairs_controlled};
-
-Backend detect_backend() {
-  if (avx2_ops_or_null() != nullptr) return Backend::kAvx2;
-  if (neon_ops_or_null() != nullptr) return Backend::kNeon;
-  return Backend::kScalar;
-}
-
-const KernelOps* ops_for(Backend b) {
-  switch (b) {
-    case Backend::kAvx2:
-      return avx2_ops_or_null();
-    case Backend::kNeon:
-      return neon_ops_or_null();
-    case Backend::kScalar:
-      break;
-  }
-  return &kScalarOps;
-}
 
 }  // namespace
 
 const KernelOps& scalar_ops() { return kScalarOps; }
 
 Backend active_backend() {
-  static const Backend backend = detect_backend();
+  static const Backend backend =
+      avx2_ops_or_null() != nullptr ? Backend::kAvx2 : Backend::kScalar;
   return backend;
 }
 
 const KernelOps& active_ops() {
-  static const KernelOps* ops = ops_for(active_backend());
+  static const KernelOps* ops = active_backend() == Backend::kAvx2
+                                    ? avx2_ops_or_null()
+                                    : &kScalarOps;
   return *ops;
 }
 
@@ -126,8 +112,6 @@ const char* backend_name(Backend b) {
       return "scalar";
     case Backend::kAvx2:
       return "avx2";
-    case Backend::kNeon:
-      return "neon";
   }
   return "unknown";
 }

@@ -207,10 +207,15 @@ QC_AVX2 void avx2_real_pairs_controlled(double* x, std::size_t len,
                                         const RealCoeffs& coeffs,
                                         BasisState control_mask,
                                         BasisState control_value) {
-  // The mask split of avx2_pairs_controlled: bits above the run gate whole
-  // runs, bits below it are enumerated as subsets. A run narrower than a
-  // vector (stride 1 or 2) is enumerated too: with no bit below the target
-  // in the mask, the subsets are every offset of the run.
+  // Split the mask and value around the target bit: bits above the run
+  // (constant across [base, base + stride)) gate whole runs, which
+  // vectorize; bits below vary with `off`. The in-run offsets that match
+  // are exactly value_lo OR'd with a subset of the uncontrolled low bits,
+  // so the in-run branch enumerates those subsets instead of testing every
+  // offset: a phase flip controlled on every qubit below its target visits
+  // one pair, not 2^(w-1) offsets. A run narrower than a vector (stride 1
+  // or 2) is enumerated too: with no bit below the target in the mask, the
+  // subsets are every offset of the run.
   const BasisState mask_lo = control_mask & (stride - 1);
   const BasisState mask_hi = control_mask & ~(2 * stride - 1);
   const BasisState value_lo = control_value & (stride - 1);
@@ -243,186 +248,9 @@ QC_AVX2 void avx2_real_pairs_controlled(double* x, std::size_t len,
   }
 }
 
-// --- Complex-coefficient path -----------------------------------------------
-
-// A __m256d holds two interleaved complex doubles [re0 im0 re1 im1].
-//
-// cmul multiplies both by one complex scalar g, given as the pre-broadcast
-// vectors gr = [g.re]*4 and gi = [g.im]*4:
-//   t1     = (re*gr, im*gr)
-//   t2     = (im*gi, re*gi)        (operand with re/im swapped per lane)
-//   addsub = (re*gr - im*gi, im*gr + re*gi)
-// Each product is rounded once and combined with one add/sub — the same
-// per-operation rounding as std::complex operator* in the scalar oracle,
-// so no fused-multiply-add sneaks in a different result.
-QC_AVX2 inline __m256d cmul(__m256d v, __m256d gr, __m256d gi) {
-  const __m256d t1 = _mm256_mul_pd(v, gr);
-  const __m256d swapped = _mm256_permute_pd(v, 0b0101);
-  const __m256d t2 = _mm256_mul_pd(swapped, gi);
-  return _mm256_addsub_pd(t1, t2);
-}
-
-QC_AVX2 inline __m256d bre(const Amplitude& g) {
-  return _mm256_set1_pd(g.real());
-}
-QC_AVX2 inline __m256d bim(const Amplitude& g) {
-  return _mm256_set1_pd(g.imag());
-}
-
-inline bool is_zero(const Amplitude& a) {
-  // Structural-zero detection for the diagonal/antidiagonal fast paths:
-  // only coefficients that are exactly zero may skip their products, so a
-  // tolerance here would be a correctness bug, not a robustness feature.
-  return a.real() == 0.0 && a.imag() == 0.0;  // qlint-allow(float-equal): structural zero selects an algebraic identity
-}
-
-// Target qubit 0: the pair is two adjacent complexes, one __m256d. Broadcast
-// each amplitude across both 128-bit lanes and pack the gate column-wise —
-// lane 0 computes the new lo, lane 1 the new hi.
-QC_AVX2 void pairs_stride1(Amplitude* amps, std::size_t dim,
-                           const Gate1Coeffs& g) {
-  const __m256d c0r = _mm256_setr_pd(g.g00.real(), g.g00.real(),
-                                     g.g10.real(), g.g10.real());
-  const __m256d c0i = _mm256_setr_pd(g.g00.imag(), g.g00.imag(),
-                                     g.g10.imag(), g.g10.imag());
-  const __m256d c1r = _mm256_setr_pd(g.g01.real(), g.g01.real(),
-                                     g.g11.real(), g.g11.real());
-  const __m256d c1i = _mm256_setr_pd(g.g01.imag(), g.g01.imag(),
-                                     g.g11.imag(), g.g11.imag());
-  double* d = reinterpret_cast<double*>(amps);
-  for (std::size_t base = 0; base < dim; base += 2, d += 4) {
-    const __m256d v = _mm256_loadu_pd(d);
-    const __m256d a0 = _mm256_permute2f128_pd(v, v, 0x00);
-    const __m256d a1 = _mm256_permute2f128_pd(v, v, 0x11);
-    _mm256_storeu_pd(d, _mm256_add_pd(cmul(a0, c0r, c0i), cmul(a1, c1r, c1i)));
-  }
-}
-
-// stride >= 2 (always even): lo/hi runs are contiguous, two complexes per
-// vector, no tail. The diagonal / antidiagonal shapes skip the half of the
-// arithmetic that multiplies by a structural zero.
-QC_AVX2 void pairs_strided(Amplitude* amps, std::size_t dim, std::size_t stride,
-                           const Gate1Coeffs& g) {
-  const bool diagonal = is_zero(g.g01) && is_zero(g.g10);
-  const bool antidiagonal = is_zero(g.g00) && is_zero(g.g11);
-  const __m256d g00r = bre(g.g00), g00i = bim(g.g00);
-  const __m256d g01r = bre(g.g01), g01i = bim(g.g01);
-  const __m256d g10r = bre(g.g10), g10i = bim(g.g10);
-  const __m256d g11r = bre(g.g11), g11i = bim(g.g11);
-  for (std::size_t base = 0; base < dim; base += 2 * stride) {
-    double* lo = reinterpret_cast<double*>(amps + base);
-    double* hi = reinterpret_cast<double*>(amps + base + stride);
-    if (diagonal) {
-      for (std::size_t off = 0; off < 2 * stride; off += 4) {
-        _mm256_storeu_pd(lo + off, cmul(_mm256_loadu_pd(lo + off), g00r, g00i));
-        _mm256_storeu_pd(hi + off, cmul(_mm256_loadu_pd(hi + off), g11r, g11i));
-      }
-    } else if (antidiagonal) {
-      for (std::size_t off = 0; off < 2 * stride; off += 4) {
-        const __m256d vlo = _mm256_loadu_pd(lo + off);
-        const __m256d vhi = _mm256_loadu_pd(hi + off);
-        _mm256_storeu_pd(lo + off, cmul(vhi, g01r, g01i));
-        _mm256_storeu_pd(hi + off, cmul(vlo, g10r, g10i));
-      }
-    } else {
-      for (std::size_t off = 0; off < 2 * stride; off += 4) {
-        const __m256d vlo = _mm256_loadu_pd(lo + off);
-        const __m256d vhi = _mm256_loadu_pd(hi + off);
-        _mm256_storeu_pd(
-            lo + off,
-            _mm256_add_pd(cmul(vlo, g00r, g00i), cmul(vhi, g01r, g01i)));
-        _mm256_storeu_pd(
-            hi + off,
-            _mm256_add_pd(cmul(vlo, g10r, g10i), cmul(vhi, g11r, g11i)));
-      }
-    }
-  }
-}
-
-QC_AVX2 void avx2_pairs(Amplitude* amps, std::size_t dim, std::size_t stride,
-                        const Gate1Coeffs& g) {
-  if (stride == 1) {
-    pairs_stride1(amps, dim, g);
-  } else {
-    pairs_strided(amps, dim, stride, g);
-  }
-}
-
-QC_AVX2 void avx2_pairs_controlled(Amplitude* amps, std::size_t dim,
-                                   std::size_t stride, const Gate1Coeffs& g,
-                                   BasisState control_mask,
-                                   BasisState control_value) {
-  // Split the mask and value around the target bit: bits above the run
-  // (constant across [base, base + stride)) gate whole runs; bits below
-  // vary with `off` and force the scalar formula inside the run. Controls
-  // above the target — cnot/ccx in ascending circuits, the common case —
-  // therefore vectorize fully.
-  const BasisState mask_lo = control_mask & (stride - 1);
-  const BasisState mask_hi = control_mask & ~(2 * stride - 1);
-  const BasisState value_lo = control_value & (stride - 1);
-  const BasisState value_hi = control_value & ~(2 * stride - 1);
-  // In-run offsets that match are exactly value_lo OR'd with a subset of
-  // the uncontrolled low bits, so the in-run branch enumerates those
-  // subsets instead of testing every offset: a phase flip controlled on
-  // every qubit below its target visits one pair, not 2^(w-1) offsets.
-  const BasisState free_lo = (stride - 1) & ~mask_lo;
-  const __m256d g00r = bre(g.g00), g00i = bim(g.g00);
-  const __m256d g01r = bre(g.g01), g01i = bim(g.g01);
-  const __m256d g10r = bre(g.g10), g10i = bim(g.g10);
-  const __m256d g11r = bre(g.g11), g11i = bim(g.g11);
-  for (std::size_t base = 0; base < dim; base += 2 * stride) {
-    if ((base & mask_hi) != value_hi) continue;
-    Amplitude* lo = amps + base;
-    Amplitude* hi = lo + stride;
-    if (mask_lo != 0) {
-      BasisState subset = 0;
-      do {
-        const BasisState off = subset | value_lo;
-        const Amplitude a0 = lo[off];
-        const Amplitude a1 = hi[off];
-        lo[off] = g.g00 * a0 + g.g01 * a1;
-        hi[off] = g.g10 * a0 + g.g11 * a1;
-        subset = (subset - free_lo) & free_lo;  // next subset, ascending
-      } while (subset != 0);
-      continue;
-    }
-    if (stride == 1) {
-      // One pair, adjacent: the stride-1 lane trick on a single vector.
-      const __m256d c0r = _mm256_setr_pd(g.g00.real(), g.g00.real(),
-                                         g.g10.real(), g.g10.real());
-      const __m256d c0i = _mm256_setr_pd(g.g00.imag(), g.g00.imag(),
-                                         g.g10.imag(), g.g10.imag());
-      const __m256d c1r = _mm256_setr_pd(g.g01.real(), g.g01.real(),
-                                         g.g11.real(), g.g11.real());
-      const __m256d c1i = _mm256_setr_pd(g.g01.imag(), g.g01.imag(),
-                                         g.g11.imag(), g.g11.imag());
-      double* d = reinterpret_cast<double*>(lo);
-      const __m256d v = _mm256_loadu_pd(d);
-      const __m256d a0 = _mm256_permute2f128_pd(v, v, 0x00);
-      const __m256d a1 = _mm256_permute2f128_pd(v, v, 0x11);
-      _mm256_storeu_pd(d,
-                       _mm256_add_pd(cmul(a0, c0r, c0i), cmul(a1, c1r, c1i)));
-      continue;
-    }
-    double* dlo = reinterpret_cast<double*>(lo);
-    double* dhi = reinterpret_cast<double*>(hi);
-    for (std::size_t off = 0; off < 2 * stride; off += 4) {
-      const __m256d vlo = _mm256_loadu_pd(dlo + off);
-      const __m256d vhi = _mm256_loadu_pd(dhi + off);
-      _mm256_storeu_pd(
-          dlo + off,
-          _mm256_add_pd(cmul(vlo, g00r, g00i), cmul(vhi, g01r, g01i)));
-      _mm256_storeu_pd(
-          dhi + off,
-          _mm256_add_pd(cmul(vlo, g10r, g10i), cmul(vhi, g11r, g11i)));
-    }
-  }
-}
-
 #undef QC_AVX2
 
-constexpr KernelOps kAvx2Ops{avx2_pairs, avx2_pairs_controlled,
-                             avx2_real_pairs, avx2_real_pairs2,
+constexpr KernelOps kAvx2Ops{avx2_real_pairs, avx2_real_pairs2,
                              avx2_real_pairs_controlled};
 
 }  // namespace

@@ -116,9 +116,10 @@ void Statevector::widen() {
 
 void Statevector::apply(const Gate1& gate, unsigned target) {
   check_qubit(target);
-  // The strided pair walk lives in the kernel layer (runtime-dispatched
-  // AVX2 / NEON / scalar); the scalar backend is the historical loop and
-  // the oracle the vector backends are tested against.
+  // The strided pair walk lives in the kernel layer: a real gate runs the
+  // runtime-dispatched real entries (AVX2 or scalar), a complex gate the
+  // one complex loop, which is the oracle the real entries are tested
+  // against.
   const std::size_t stride = std::size_t{1} << target;
   if (is_real_gate(gate)) {
     const RealView v = real_view();
@@ -127,8 +128,8 @@ void Statevector::apply(const Gate1& gate, unsigned target) {
     return;
   }
   widen();
-  kernels::active_ops().apply_pairs(amplitudes_.data(), amplitudes_.size(),
-                                    stride, complex_coeffs(gate));
+  kernels::apply_pairs(amplitudes_.data(), amplitudes_.size(), stride,
+                       complex_coeffs(gate));
 }
 
 void Statevector::apply_pair(const Gate1& a, unsigned target_a, const Gate1& b,
@@ -173,9 +174,9 @@ void Statevector::apply_controlled(const Gate1& gate,
     return;
   }
   widen();
-  kernels::active_ops().apply_pairs_controlled(
-      amplitudes_.data(), amplitudes_.size(), stride, complex_coeffs(gate),
-      control_mask, control_value);
+  kernels::apply_pairs_controlled(amplitudes_.data(), amplitudes_.size(),
+                                  stride, complex_coeffs(gate), control_mask,
+                                  control_value);
 }
 
 void Statevector::cnot(unsigned control, unsigned target) {

@@ -2,25 +2,20 @@
 
 #include <utility>
 
+#include "src/util/rng.hpp"
+
 namespace qcongest::recover {
 namespace {
 
-// Same 64-bit finalizer the reliable transport uses for frame checksums; a
-// chained fold over it gives an order-sensitive digest of the word stream.
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
+// A chained fold over the splitmix64 finalizer: an order-sensitive digest
+// of the word stream.
 std::uint64_t digest(const Snapshot& s) {
-  std::uint64_t h = mix64(0x5eedc0deULL);
-  h = mix64(h ^ s.version);
-  h = mix64(h ^ static_cast<std::uint64_t>(s.round));
-  h = mix64(h ^ static_cast<std::uint64_t>(s.words.size()));
+  std::uint64_t h = util::mix64(0x5eedc0deULL);
+  h = util::mix64(h ^ s.version);
+  h = util::mix64(h ^ static_cast<std::uint64_t>(s.round));
+  h = util::mix64(h ^ static_cast<std::uint64_t>(s.words.size()));
   for (std::int64_t w : s.words) {
-    h = mix64(h ^ static_cast<std::uint64_t>(w));
+    h = util::mix64(h ^ static_cast<std::uint64_t>(w));
   }
   return h;
 }

@@ -1,19 +1,8 @@
 #include "src/serve/backoff.hpp"
 
+#include "src/util/rng.hpp"
+
 namespace qcongest::serve {
-
-namespace {
-
-// splitmix64 finalizer — the same mixer the reliable transport's
-// retransmission jitter uses (src/net/reliable.cpp).
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
 
 std::uint64_t backoff_delay_ms(const BackoffParams& params, std::uint64_t stream,
                                std::uint64_t attempt) {
@@ -28,7 +17,8 @@ std::uint64_t backoff_delay_ms(const BackoffParams& params, std::uint64_t stream
   }
   const std::uint64_t spread = delay / 4;
   if (spread > 1) {
-    const std::uint64_t h = mix64(mix64(params.seed ^ (stream << 20)) ^ attempt);
+    const std::uint64_t h =
+        util::mix64(util::mix64(params.seed ^ (stream << 20)) ^ attempt);
     delay -= h % spread;
   }
   return delay;

@@ -12,50 +12,11 @@
 #include "src/obs/round_profiler.hpp"
 #include "src/obs/run_report.hpp"
 #include "src/recover/watchdog.hpp"
+#include "src/util/parse.hpp"
 
 namespace qcongest::serve {
 
 namespace {
-
-bool parse_u64(std::string_view text, std::uint64_t* out) {
-  if (text.empty() || text.size() > 20) return false;
-  std::uint64_t value = 0;
-  for (char c : text) {
-    if (c < '0' || c > '9') return false;
-    const std::uint64_t digit = static_cast<std::uint64_t>(c - '0');
-    if (value > (UINT64_MAX - digit) / 10) return false;  // overflow
-    value = value * 10 + digit;
-  }
-  *out = value;
-  return true;
-}
-
-bool parse_size(std::string_view text, std::size_t* out) {
-  std::uint64_t v = 0;
-  if (!parse_u64(text, &v)) return false;
-  *out = static_cast<std::size_t>(v);
-  return true;
-}
-
-bool parse_prob(std::string_view text, double* out) {
-  // Strict fixed/float notation, no exponents, no signs: probabilities on
-  // the wire look like "0.05".
-  if (text.empty() || text.size() > 18) return false;
-  bool seen_dot = false, seen_digit = false;
-  for (char c : text) {
-    if (c == '.') {
-      if (seen_dot) return false;
-      seen_dot = true;
-    } else if (c >= '0' && c <= '9') {
-      seen_digit = true;
-    } else {
-      return false;
-    }
-  }
-  if (!seen_digit) return false;
-  *out = std::stod(std::string(text));
-  return *out >= 0.0 && *out <= 1.0;
-}
 
 bool parse_flag(std::string_view text, bool* out) {
   if (text == "1" || text == "true") {
@@ -84,12 +45,12 @@ bool parse_crash(std::string_view text, JobSpec::Crash* out) {
   }
   if (parts.size() != 3 && parts.size() != 4) return false;
   std::size_t node = 0;
-  if (!parse_size(parts[0], &node)) return false;
+  if (!util::parse_size(parts[0], &node)) return false;
   out->node = static_cast<net::NodeId>(node);
-  if (!parse_size(parts[1], &out->crash_round)) return false;
+  if (!util::parse_size(parts[1], &out->crash_round)) return false;
   if (parts[2] == "never") {
     out->restart_round = net::CrashEvent::kNeverRestarts;
-  } else if (!parse_size(parts[2], &out->restart_round)) {
+  } else if (!util::parse_size(parts[2], &out->restart_round)) {
     return false;
   }
   out->amnesia = false;
@@ -156,16 +117,16 @@ bool parse_job_spec(std::string_view text, JobSpec* out, std::string* error) {
       ok = !value.empty() && value.size() <= 64;
       if (ok) out->graph = std::string(value);
     } else if (key == "nodes") {
-      ok = parse_size(value, &out->nodes);
+      ok = util::parse_size(value, &out->nodes);
     } else if (key == "seed") {
-      ok = parse_u64(value, &out->seed);
+      ok = util::parse_u64(value, &out->seed);
     } else if (key == "fault_seed") {
-      ok = parse_u64(value, &out->fault_seed);
+      ok = util::parse_u64(value, &out->fault_seed);
       out->fault_seed_set = ok;
     } else if (key == "threads") {
-      ok = parse_size(value, &out->threads) && out->threads >= 1;
+      ok = util::parse_size(value, &out->threads) && out->threads >= 1;
     } else if (key == "deadline_rounds") {
-      ok = parse_size(value, &out->deadline_rounds);
+      ok = util::parse_size(value, &out->deadline_rounds);
     } else if (key == "transport") {
       if (value == "reliable") {
         out->transport = net::Transport::kReliable;
@@ -175,11 +136,11 @@ bool parse_job_spec(std::string_view text, JobSpec* out, std::string* error) {
         ok = false;
       }
     } else if (key == "drop") {
-      ok = parse_prob(value, &out->drop);
+      ok = util::parse_prob(value, &out->drop);
     } else if (key == "corrupt") {
-      ok = parse_prob(value, &out->corrupt);
+      ok = util::parse_prob(value, &out->corrupt);
     } else if (key == "duplicate") {
-      ok = parse_prob(value, &out->duplicate);
+      ok = util::parse_prob(value, &out->duplicate);
     } else if (key == "crash") {
       JobSpec::Crash crash;
       ok = parse_crash(value, &crash);

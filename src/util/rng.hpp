@@ -8,6 +8,17 @@
 
 namespace qcongest::util {
 
+/// The splitmix64 finalizer: a bijective 64-bit mixer. Frame checksums and
+/// retransmission jitter (net/reliable), checkpoint digests
+/// (recover/checkpoint) and retry backoff (serve/backoff) fold their inputs
+/// through it, so their values depend on it bit for bit.
+inline std::uint64_t mix64(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
 /// Deterministic, seedable random number generator used throughout the
 /// library. Every randomized algorithm takes an `Rng&` so that experiments
 /// are reproducible bit-for-bit from a seed.

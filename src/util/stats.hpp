@@ -1,36 +1,8 @@
 #pragma once
 
-#include <cstddef>
 #include <vector>
 
 namespace qcongest::util {
-
-/// Online mean/variance accumulator (Welford). Used by benches to aggregate
-/// measured round counts across trials.
-class RunningStats {
- public:
-  void add(double x) {
-    ++n_;
-    double delta = x - mean_;
-    mean_ += delta / static_cast<double>(n_);
-    m2_ += delta * (x - mean_);
-    if (n_ == 1 || x < min_) min_ = x;
-    if (n_ == 1 || x > max_) max_ = x;
-  }
-
-  std::size_t count() const { return n_; }
-  double mean() const { return mean_; }
-  double variance() const { return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0; }
-  double min() const { return min_; }
-  double max() const { return max_; }
-
- private:
-  std::size_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
 
 /// Median of a copy of the data (empty input -> 0).
 double median(std::vector<double> values);

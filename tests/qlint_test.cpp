@@ -604,9 +604,9 @@ TEST(QlintNarrowing, ReparsingRetaintsACheckedVariable) {
   auto d = lint_source("tools/qload.cpp",
                        "int f(const std::string& a, const std::string& b) {\n"
                        "  std::uint64_t value = 0;\n"
-                       "  if (!parse_u64_arg(a, &value) || value > 65535) return 2;\n"
+                       "  if (!parse_u64(a, &value) || value > 65535) return 2;\n"
                        "  int port = static_cast<int>(value);\n"
-                       "  if (!parse_u64_arg(b, &value) || value == 0) return 2;\n"
+                       "  if (!parse_u64(b, &value) || value == 0) return 2;\n"
                        "  int timeout = static_cast<int>(value);\n"
                        "  return port + timeout;\n"
                        "}\n");

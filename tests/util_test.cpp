@@ -5,6 +5,7 @@
 #include <set>
 
 #include "src/util/combinatorics.hpp"
+#include "src/util/parse.hpp"
 #include "src/util/rng.hpp"
 #include "src/util/stats.hpp"
 
@@ -18,6 +19,12 @@ TEST(Rng, UniformIntRange) {
     EXPECT_GE(v, -5);
     EXPECT_LE(v, 5);
   }
+}
+
+TEST(Rng, Mix64IsTheSplitmix64Finalizer) {
+  // The first outputs of splitmix64 seeded with 0 and 1.
+  EXPECT_EQ(mix64(0), 0xe220a8397b1dcdafULL);
+  EXPECT_EQ(mix64(1), 0x910a2dec89025cc1ULL);
 }
 
 TEST(Rng, UniformIntThrowsOnBadRange) {
@@ -178,21 +185,65 @@ TEST(Combinatorics, AllSubsetsEdgeCases) {
   EXPECT_TRUE(all_subsets(3, 5).empty());
 }
 
-TEST(Stats, RunningStatsBasics) {
-  RunningStats s;
-  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(x);
-  EXPECT_EQ(s.count(), 8u);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_NEAR(s.variance(), 32.0 / 7.0, 1e-12);
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-}
-
 TEST(Stats, MedianOddEven) {
   EXPECT_DOUBLE_EQ(median({3.0, 1.0, 2.0}), 2.0);
   EXPECT_DOUBLE_EQ(median({4.0, 1.0, 2.0, 3.0}), 2.5);
   EXPECT_DOUBLE_EQ(median({}), 0.0);
   EXPECT_DOUBLE_EQ(median({42.0}), 42.0);
+}
+
+/// Inputs every strict parser rejects: empty, signs, whitespace, trailing
+/// characters, exponents, a lone dot.
+constexpr const char* kMalformed[] = {"", "-1", "+1", " 1", "1x", "1e3", "."};
+
+TEST(Parse, U64AndSizeTakeDigitsOnly) {
+  std::uint64_t v = 7;
+  std::size_t n = 7;
+  for (const char* text : kMalformed) {
+    EXPECT_FALSE(parse_u64(text, &v)) << '"' << text << '"';
+    EXPECT_FALSE(parse_size(text, &n)) << '"' << text << '"';
+  }
+  for (const char* text : {"18446744073709551616", "0.05"}) {
+    EXPECT_FALSE(parse_u64(text, &v)) << text;
+    EXPECT_FALSE(parse_size(text, &n)) << text;
+  }
+  EXPECT_EQ(v, 7u);  // a reject leaves the output alone
+  EXPECT_EQ(n, 7u);
+  ASSERT_TRUE(parse_u64("18446744073709551615", &v));
+  EXPECT_EQ(v, UINT64_MAX);
+  ASSERT_TRUE(parse_u64("0", &v));
+  EXPECT_EQ(v, 0u);
+  ASSERT_TRUE(parse_size("0042", &n));
+  EXPECT_EQ(n, 42u);
+}
+
+TEST(Parse, DecimalAndProbability) {
+  double x = 7.0;
+  for (const char* text : kMalformed) {
+    EXPECT_FALSE(parse_decimal(text, &x)) << '"' << text << '"';
+    EXPECT_FALSE(parse_prob(text, &x)) << '"' << text << '"';
+  }
+  for (const char* text : {"18446744073709551616", "1..2", "0.5.", "1,5"}) {
+    EXPECT_FALSE(parse_decimal(text, &x)) << text;
+  }
+  EXPECT_EQ(x, 7.0);
+  ASSERT_TRUE(parse_decimal("0.05", &x));
+  EXPECT_EQ(x, 0.05);
+  ASSERT_TRUE(parse_decimal("1.25", &x));
+  EXPECT_EQ(x, 1.25);
+  ASSERT_TRUE(parse_decimal("1000000", &x));
+  EXPECT_EQ(x, 1e6);
+  ASSERT_TRUE(parse_decimal("3.", &x));
+  EXPECT_EQ(x, 3.0);
+  ASSERT_TRUE(parse_decimal(".5", &x));
+  EXPECT_EQ(x, 0.5);
+  ASSERT_TRUE(parse_prob("0.05", &x));
+  EXPECT_EQ(x, 0.05);
+  ASSERT_TRUE(parse_prob("1", &x));
+  EXPECT_EQ(x, 1.0);
+  EXPECT_FALSE(parse_prob("1.5", &x));
+  EXPECT_FALSE(parse_prob("2", &x));
+  EXPECT_EQ(x, 1.0);
 }
 
 }  // namespace

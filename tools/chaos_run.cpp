@@ -109,6 +109,7 @@
 #include "src/obs/run_report.hpp"
 #include "src/recover/watchdog.hpp"
 #include "src/util/env.hpp"
+#include "src/util/parse.hpp"
 
 using namespace qcongest;
 
@@ -190,26 +191,30 @@ bool parse(int argc, char** argv, Options& opt) {
       return false;
     }
     std::string value = argv[++i];
+    auto bad_number = [&] {
+      std::fprintf(stderr, "bad %s: %s\n", flag.c_str(), value.c_str());
+      return false;
+    };
     if (flag == "--nodes") {
-      opt.nodes = static_cast<std::size_t>(std::stoul(value));
+      if (!util::parse_size(value, &opt.nodes)) return bad_number();
     } else if (flag == "--trials") {
-      opt.trials = static_cast<std::size_t>(std::stoul(value));
+      if (!util::parse_size(value, &opt.trials)) return bad_number();
     } else if (flag == "--graph") {
       opt.graph = value;
     } else if (flag == "--seed") {
-      opt.seed = std::stoull(value);
+      if (!util::parse_u64(value, &opt.seed)) return bad_number();
     } else if (flag == "--threads") {
-      opt.threads = static_cast<std::size_t>(std::stoul(value));
+      if (!util::parse_size(value, &opt.threads)) return bad_number();
       if (opt.threads == 0) opt.threads = 1;
     } else if (flag == "--jobs") {
-      opt.jobs = static_cast<std::size_t>(std::stoul(value));
+      if (!util::parse_size(value, &opt.jobs)) return bad_number();
       if (opt.jobs == 0) opt.jobs = 1;
     } else if (flag == "--report") {
       opt.report = value;
     } else if (flag == "--cache-dir") {
       opt.cache_dir = value;
     } else if (flag == "--deadline") {
-      opt.deadline_rounds = static_cast<std::size_t>(std::stoul(value));
+      if (!util::parse_size(value, &opt.deadline_rounds)) return bad_number();
     } else if (flag == "--transport") {
       if (value == "reliable") {
         opt.transport = net::Transport::kReliable;
@@ -596,9 +601,7 @@ int run_gc(int argc, char** argv) {
     if (flag == "--cache-dir") {
       dir = value;
     } else if (flag == "--max-bytes") {
-      char* end = nullptr;
-      max_bytes = std::strtoull(value.c_str(), &end, 10);
-      if (end == value.c_str() || *end != '\0') {
+      if (!util::parse_u64(value, &max_bytes)) {
         std::fprintf(stderr, "bad --max-bytes: %s\n", value.c_str());
         return 2;
       }

@@ -51,6 +51,7 @@
 #include <vector>
 
 #include "src/obs/json.hpp"
+#include "src/util/parse.hpp"
 
 namespace {
 
@@ -223,23 +224,23 @@ std::string json_escape(const std::string& text) {
   return out;
 }
 
-/// Extract the "label" value of one history record written by
-/// append_history below (the gate owns both ends of the format). Empty
-/// when the line carries no label field.
-std::string history_label(const std::string& line) {
-  const std::string marker = "\"label\": \"";
+/// Extract the string value of `key` ("label" or "baseline") of one
+/// history record written by append_history below (the gate owns both
+/// ends of the format). Empty when the line carries no such field.
+std::string history_field(const std::string& line, const std::string& key) {
+  const std::string marker = "\"" + key + "\": \"";
   std::size_t start = line.find(marker);
   if (start == std::string::npos) return "";
   start += marker.size();
-  std::string label;
+  std::string value;
   for (std::size_t i = start; i < line.size(); ++i) {
     if (line[i] == '\\') {
       ++i;
-      if (i < line.size()) label.push_back(line[i]);
+      if (i < line.size()) value.push_back(line[i]);
       continue;
     }
-    if (line[i] == '"') return label;
-    label.push_back(line[i]);
+    if (line[i] == '"') return value;
+    value.push_back(line[i]);
   }
   return "";
 }
@@ -250,9 +251,11 @@ std::string history_label(const std::string& line) {
 ///
 /// The merge keeps the file healthy instead of trusting it blindly:
 /// malformed lines (a truncated append, a botched conflict resolution) are
-/// dropped with a warning rather than aborting the gate, and any earlier
-/// record with this label is replaced — re-running the gate on the same
-/// commit updates its record instead of stuttering the trajectory.
+/// dropped with a warning rather than aborting the gate, and an earlier
+/// record with this label and this baseline file is replaced — re-running
+/// the gate on the same commit updates its record instead of stuttering
+/// the trajectory, while one label still keeps a record per baseline file
+/// (a re-record gates every BENCH_*.json under one label).
 void append_history(const std::string& path, const std::string& label,
                     const std::string& baseline_file,
                     const std::vector<DeltaRow>& rows) {
@@ -269,7 +272,10 @@ void append_history(const std::string& path, const std::string& label,
                   << ": skipping malformed history line\n";
         continue;
       }
-      if (!label.empty() && history_label(line) == label) continue;  // dedupe
+      if (!label.empty() && history_field(line, "label") == label &&
+          history_field(line, "baseline") == baseline_file) {
+        continue;  // dedupe
+      }
       kept.push_back(line);
     }
   }
@@ -368,10 +374,13 @@ int main(int argc, char** argv) {
   std::string label;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
-    if (arg == "--threshold" && i + 1 < argc) {
-      threshold = std::strtod(argv[++i], nullptr);
-    } else if (arg == "--min-ns" && i + 1 < argc) {
-      min_ns = std::strtod(argv[++i], nullptr);
+    if ((arg == "--threshold" || arg == "--min-ns") && i + 1 < argc) {
+      const std::string value = argv[++i];
+      if (!qcongest::util::parse_decimal(
+              value, arg == "--threshold" ? &threshold : &min_ns)) {
+        std::cerr << "perf_gate: bad " << arg << ": " << value << "\n";
+        return 2;
+      }
     } else if (arg == "--no-time") {
       check_time = false;
     } else if (arg == "--report") {

@@ -41,6 +41,7 @@
 #include "src/obs/metrics.hpp"
 #include "src/obs/round_profiler.hpp"
 #include "src/obs/run_report.hpp"
+#include "src/util/parse.hpp"
 
 using namespace qcongest;
 
@@ -76,20 +77,24 @@ bool parse(int argc, char** argv, Options& opt) {
   for (int i = 2; i + 1 < argc; i += 2) {
     std::string flag = argv[i];
     std::string value = argv[i + 1];
+    auto bad_number = [&] {
+      std::fprintf(stderr, "bad %s: %s\n", flag.c_str(), value.c_str());
+      return false;
+    };
     if (flag == "--graph") {
       opt.graph = value;
     } else if (flag == "--nodes") {
-      opt.nodes = static_cast<std::size_t>(std::stoul(value));
+      if (!util::parse_size(value, &opt.nodes)) return bad_number();
     } else if (flag == "--k") {
-      opt.k = static_cast<std::size_t>(std::stoul(value));
+      if (!util::parse_size(value, &opt.k)) return bad_number();
     } else if (flag == "--girth") {
-      opt.girth = static_cast<std::size_t>(std::stoul(value));
+      if (!util::parse_size(value, &opt.girth)) return bad_number();
     } else if (flag == "--epsilon") {
-      opt.epsilon = std::stod(value);
+      if (!util::parse_decimal(value, &opt.epsilon)) return bad_number();
     } else if (flag == "--seed") {
-      opt.seed = std::stoull(value);
+      if (!util::parse_u64(value, &opt.seed)) return bad_number();
     } else if (flag == "--bandwidth") {
-      opt.bandwidth = static_cast<std::size_t>(std::stoul(value));
+      if (!util::parse_size(value, &opt.bandwidth)) return bad_number();
     } else if (flag == "--report") {
       opt.report = value;
     } else {

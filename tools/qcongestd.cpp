@@ -25,8 +25,11 @@
 #include "src/obs/metrics.hpp"
 #include "src/serve/server.hpp"
 #include "src/util/env.hpp"
+#include "src/util/parse.hpp"
 
 namespace {
+
+using qcongest::util::parse_size;
 
 qcongest::serve::Server* g_server = nullptr;
 
@@ -59,15 +62,6 @@ void usage(const char* argv0) {
       "                        as JSON on clean shutdown\n"
       "  --port-file <path>    write the bound port to this file\n",
       argv0);
-}
-
-bool parse_size(const char* text, std::size_t* out) {
-  char* end = nullptr;
-  errno = 0;
-  unsigned long long value = std::strtoull(text, &end, 10);
-  if (errno != 0 || end == text || *end != '\0') return false;
-  *out = static_cast<std::size_t>(value);
-  return true;
 }
 
 }  // namespace

@@ -46,8 +46,12 @@
 
 #include "src/serve/backoff.hpp"
 #include "src/serve/frame.hpp"
+#include "src/util/parse.hpp"
 
 namespace {
+
+using qcongest::util::parse_prob;
+using qcongest::util::parse_u64;
 
 using qcongest::serve::Frame;
 using qcongest::serve::FrameReader;
@@ -419,15 +423,6 @@ void usage(const char* argv0) {
       argv0);
 }
 
-bool parse_u64_arg(const char* text, std::uint64_t* out) {
-  char* end = nullptr;
-  errno = 0;
-  unsigned long long value = std::strtoull(text, &end, 10);
-  if (errno != 0 || end == text || *end != '\0') return false;
-  *out = value;
-  return true;
-}
-
 std::vector<std::string> split_csv(const std::string& text) {
   std::vector<std::string> out;
   std::size_t pos = 0;
@@ -460,7 +455,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--host") {
       opt.host = next();
     } else if (arg == "--port") {
-      if (!parse_u64_arg(next(), &value) || value == 0 || value > 65535) {
+      if (!parse_u64(next(), &value) || value == 0 || value > 65535) {
         std::fprintf(stderr, "qload: bad --port\n");
         return 2;
       }
@@ -468,7 +463,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--port-file") {
       opt.port_file = next();
     } else if (arg == "--jobs") {
-      if (!parse_u64_arg(next(), &value) || value == 0) {
+      if (!parse_u64(next(), &value) || value == 0) {
         std::fprintf(stderr, "qload: bad --jobs\n");
         return 2;
       }
@@ -482,32 +477,31 @@ int main(int argc, char** argv) {
     } else if (arg == "--graph") {
       opt.graph = next();
     } else if (arg == "--nodes") {
-      if (!parse_u64_arg(next(), &value) || value < 2) {
+      if (!parse_u64(next(), &value) || value < 2) {
         std::fprintf(stderr, "qload: bad --nodes\n");
         return 2;
       }
       opt.nodes = static_cast<std::size_t>(value);
     } else if (arg == "--seed") {
-      if (!parse_u64_arg(next(), &value)) {
+      if (!parse_u64(next(), &value)) {
         std::fprintf(stderr, "qload: bad --seed\n");
         return 2;
       }
       opt.seed = value;
     } else if (arg == "--threads") {
-      if (!parse_u64_arg(next(), &value) || value == 0) {
+      if (!parse_u64(next(), &value) || value == 0) {
         std::fprintf(stderr, "qload: bad --threads\n");
         return 2;
       }
       opt.threads = static_cast<std::size_t>(value);
     } else if (arg == "--deadline") {
-      if (!parse_u64_arg(next(), &value)) {
+      if (!parse_u64(next(), &value)) {
         std::fprintf(stderr, "qload: bad --deadline\n");
         return 2;
       }
       opt.deadline_rounds = static_cast<std::size_t>(value);
     } else if (arg == "--drop") {
-      opt.drop = std::strtod(next(), nullptr);
-      if (opt.drop < 0.0 || opt.drop > 1.0) {
+      if (!parse_prob(next(), &opt.drop)) {
         std::fprintf(stderr, "qload: bad --drop\n");
         return 2;
       }
@@ -518,7 +512,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--check-determinism") {
       opt.check_determinism = true;
     } else if (arg == "--max-retries") {
-      if (!parse_u64_arg(next(), &value)) {
+      if (!parse_u64(next(), &value)) {
         std::fprintf(stderr, "qload: bad --max-retries\n");
         return 2;
       }
@@ -526,7 +520,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--timeout-ms") {
       // Bound before the int cast: an hour is already absurd for a frame
       // round-trip, and anything past INT_MAX would wrap negative.
-      if (!parse_u64_arg(next(), &value) || value == 0 || value > 3600000) {
+      if (!parse_u64(next(), &value) || value == 0 || value > 3600000) {
         std::fprintf(stderr, "qload: bad --timeout-ms (want 1..3600000)\n");
         return 2;
       }
