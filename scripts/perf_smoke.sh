@@ -38,14 +38,15 @@ HISTORY_FILE=${BASELINE_DIR}/PERF_HISTORY.jsonl
 # the clean + faulty BFS rows of the reliable-transport overhead bench,
 # two recovery-tax rows (full replay vs dense checkpoints) whose
 # recovery_rounds/recovery_words counters pin the E-recover accounting,
-# one gate-level Grover search whose gate_ops counter pins the size of
-# the iterate the statevector kernels run, and Lemma 21's classical APSP
+# two gate-level Grover searches (14 qubits, and 16, paper-sweep's slowest
+# trial) whose gate_ops and gate_passes counters pin the size of the
+# iterate and the kernel calls it makes, and Lemma 21's classical APSP
 # baseline (multi-source BFS from every node), whose rounds/words counters
 # pin its send schedule.
 FRAMEWORK_FILTER='BM_BatchCost/n:64/k:1024/p:8/q:10|BM_ParallelismSweep/p:(1|32)/'
 FAULT_FILTER='BM_FaultOverheadBfs/drop_permille:(0|50)/n:31'
 RECOVER_FILTER='BM_RecoveryTaxBfs/ckpt_every:(0|2)/n:31'
-STATEVECTOR_FILTER='BM_GroverIterate/qubits:14'
+STATEVECTOR_FILTER='BM_GroverIterate/qubits:(14|16)'
 DIAMETER_FILTER='BM_ClassicalApsp/topology:1/n:128'
 
 if [ -n "${QCONGEST_SMOKE_OUT:-}" ]; then

@@ -843,9 +843,10 @@ void check_untrusted_narrowing(RuleCtx& ctx) {
 /// The per-word / per-amplitude functions: Engine's round loop runs these
 /// tens of thousands of times per trial, Statevector::apply* once per gate
 /// per 2^q amplitudes (widen once per state, in place), and
-/// Circuit::apply_to's pairing loop once per op of every Grover iterate. A heap allocation here is an allocator round-trip
-/// multiplied by the hottest loop in the repo — the arena/pooling work of
-/// DESIGN.md §13 exists to keep these allocation-free. Cold setup (the
+/// Circuit::apply_to's grouping loop once per op of every Grover iterate.
+/// A heap allocation here is an allocator round-trip multiplied by the
+/// hottest loop in the repo — the arena/pooling work of DESIGN.md §13
+/// exists to keep these allocation-free. Cold setup (the
 /// constructor, set_*, run() initialization) allocates freely; `grow_fill`
 /// is the sanctioned amortized growth path and is deliberately not listed.
 struct HotFn {
@@ -858,7 +859,7 @@ const HotFn kHotFns[] = {
     {"Engine", "run_pass_serial"},  {"Engine", "run_pass_parallel"},
     {"Engine", "scatter_inboxes"},  {"Engine", "reset_delivery_buffers"},
     {"Statevector", "apply"},       {"Statevector", "apply_controlled"},
-    {"Statevector", "apply_pair"},  {"Statevector", "cnot"},
+    {"Statevector", "apply_run"},   {"Statevector", "cnot"},
     {"Statevector", "cz"},          {"Statevector", "ccx"},
     {"Statevector", "swap_qubits"}, {"Statevector", "h_all"},
     {"Statevector", "widen"},       {"Circuit", "apply_to"},

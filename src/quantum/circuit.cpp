@@ -85,17 +85,29 @@ std::size_t Circuit::apply_to(Statevector& state) const {
     throw std::invalid_argument("Circuit::apply_to: qubit count mismatch");
   }
   std::size_t calls = 0;
-  for (std::size_t i = 0; i < ops_.size(); ++i, ++calls) {
-    const Op& op = ops_[i];
+  for (std::size_t i = 0; i < ops_.size(); ++calls) {
+    const Op& op = ops_[i++];
     if (!op.controls.empty()) {
       state.apply_controlled(op.g, op.controls, op.target, op.open_controls);
-    } else if (i + 1 < ops_.size() && ops_[i + 1].controls.empty() &&
-               ops_[i + 1].target != op.target) {
-      state.apply_pair(op.g, op.target, ops_[i + 1].g, ops_[i + 1].target);
-      ++i;
-    } else {
-      state.apply(op.g, op.target);
+      continue;
     }
+    TargetedGate run[Statevector::kMaxRunGates] = {{op.g, op.target}};
+    std::size_t n = 1;
+    // The next op joins a run of real gates when it is uncontrolled and
+    // real and its target is not in the run yet.
+    const auto joins = [&](const Op& next) {
+      return next.controls.empty() && gates::is_real(next.g) &&
+             std::none_of(run, run + n, [&](const TargetedGate& t) {
+               return t.target == next.target;
+             });
+    };
+    if (gates::is_real(op.g)) {
+      while (n < Statevector::kMaxRunGates && i < ops_.size() && joins(ops_[i])) {
+        run[n++] = {ops_[i].g, ops_[i].target};
+        ++i;
+      }
+    }
+    state.apply_run({run, n});
   }
   return calls;
 }

@@ -61,10 +61,11 @@ class Circuit {
   Circuit embedded(unsigned new_width, unsigned offset) const;
 
   /// Run the ops in order on `state` and return the number of kernel calls
-  /// made. Ops i and i + 1 go to one Statevector::apply_pair call when both
-  /// are uncontrolled and their targets differ (pairing is greedy, from the
-  /// front); every controlled op and every unpaired gate is one call. The
-  /// result is byte-identical to applying the ops one at a time.
+  /// made. Each maximal run of up to three consecutive uncontrolled real
+  /// gates on distinct targets is one Statevector::apply_run call (runs are
+  /// greedy, from the front); every controlled op and every complex gate is
+  /// one call of its own. The result is byte-identical to applying the ops
+  /// one at a time.
   std::size_t apply_to(Statevector& state) const;
 
   /// Run on |0...0> and return the resulting state.

@@ -50,6 +50,13 @@ Gate1 dagger(const Gate1& g) {
   return {{std::conj(g(0, 0)), std::conj(g(1, 0)), std::conj(g(0, 1)), std::conj(g(1, 1))}};
 }
 
+bool is_real(const Gate1& g) {
+  for (const Amplitude& c : g.m) {
+    if (c.imag() != 0.0) return false;  // qlint-allow(float-equal): structural zero selects the real representation
+  }
+  return true;
+}
+
 bool is_unitary(const Gate1& g, double tol) {
   // Check G^dagger G == I entrywise.
   Gate1 d = dagger(g);

@@ -35,6 +35,12 @@ Gate1 dagger(const Gate1& g);
 /// True when g is unitary up to tolerance.
 bool is_unitary(const Gate1& g, double tol = 1e-9);
 
+/// True when the imaginary parts of all four coefficients are exactly zero.
+/// Structural, like the kernels' zero tests: such a part only ever
+/// contributes +-0 products, which the real kernel entries leave out, so a
+/// tolerance here would change results, not robustness.
+bool is_real(const Gate1& g);
+
 }  // namespace gates
 
 }  // namespace qcongest::quantum

@@ -46,8 +46,8 @@ namespace {
 
 // --- Scalar real entries ----------------------------------------------------
 //
-// The same loops over a double array with real coefficients; the two-gate
-// entry is its two one-gate calls.
+// The same loops over a double array with real coefficients; a run is its
+// steps' one-gate loops in order.
 void scalar_real_pairs(double* x, std::size_t len, std::size_t stride,
                        const RealCoeffs& g) {
   for (std::size_t base = 0; base < len; base += 2 * stride) {
@@ -62,11 +62,9 @@ void scalar_real_pairs(double* x, std::size_t len, std::size_t stride,
   }
 }
 
-void scalar_real_pairs2(double* x, std::size_t len, std::size_t stride_a,
-                        const RealCoeffs& ga, std::size_t stride_b,
-                        const RealCoeffs& gb) {
-  scalar_real_pairs(x, len, stride_a, ga);
-  scalar_real_pairs(x, len, stride_b, gb);
+void scalar_real_run(double* x, std::size_t len,
+                     std::span<const RealStep> steps) {
+  for (const RealStep& s : steps) scalar_real_pairs(x, len, s.stride, s.g);
 }
 
 void scalar_real_pairs_controlled(double* x, std::size_t len,
@@ -86,8 +84,7 @@ void scalar_real_pairs_controlled(double* x, std::size_t len,
   }
 }
 
-constexpr KernelOps kScalarOps{scalar_real_pairs, scalar_real_pairs2,
-                               scalar_real_pairs_controlled};
+constexpr KernelOps kScalarOps{scalar_real_run, scalar_real_pairs_controlled};
 
 }  // namespace
 

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 
 #include "src/quantum/types.hpp"
 
@@ -47,6 +48,16 @@ void apply_pairs_controlled(Amplitude* amps, std::size_t dim,
                             std::size_t stride, const Gate1Coeffs& g,
                             BasisState control_mask, BasisState control_value);
 
+/// One gate of a run: the real 2x2 matrix `g` on the pairs at array
+/// stride `stride`.
+struct RealStep {
+  std::size_t stride;
+  RealCoeffs g;
+};
+
+/// The most gates one real_run call takes.
+inline constexpr std::size_t kMaxRunSteps = 3;
+
 /// One implementation of the real entries, for gates whose coefficients
 /// are all real, over a double array of `len` entries. A real state is
 /// `dim` packed doubles, one per basis state, and qubit t is array bit t.
@@ -57,25 +68,24 @@ void apply_pairs_controlled(Amplitude* amps, std::size_t dim,
 ///
 /// Contract shared by every backend (the scalar one is the oracle):
 ///  - the pair coverage, update formula and control test above;
-///  - `real_pairs2` is gate `ga` at `stride_a`, then gate `gb` at
-///    `stride_b` (the strides differ; callers validate). Its result is
-///    byte-identical to real_pairs(stride_a, ga) followed by
-///    real_pairs(stride_b, gb) on the same backend; the scalar entry is
-///    exactly those two calls.
-/// A vector backend may take structure fast paths (a diagonal gate skips
-/// its zero products, controlled ops visit only the matching pairs, two
-/// gates share one load/store sweep) — a skipped product is a +-0 term, so
-/// the only byte difference it can make is the sign of an amplitude part
-/// that is exactly zero. For the same reason a real entry on the complex
-/// view equals the complex loops on a real gate in value: it leaves out
-/// the products of the gate's zero imaginary parts. The equivalence suite
-/// pins both down.
+///  - `real_run` applies its 1..kMaxRunSteps steps in order; their strides
+///    are distinct (callers validate). Its result is byte-identical to one
+///    real_run call per step, in the same order, on the same backend; the
+///    scalar entry is exactly those one-gate loops. A one-gate call is a
+///    run of one step.
+/// A vector backend may take structure fast paths — a diagonal gate skips
+/// its zero products, an H-shaped gate (g10 = g00, g11 = -g01, bit for
+/// bit) computes p = g00*lo and q = g01*hi once for lo' = p + q and
+/// hi' = p - q, controlled ops visit only the matching pairs, and a run
+/// shares one load/store sweep. The H-shaped butterfly is byte-identical
+/// to the formula, since -(g01*hi) is g11*hi exactly and p - q is
+/// p + (-q). A skipped product is a +-0 term, so the only byte difference
+/// a fast path can make is the sign of an amplitude part that is exactly
+/// zero. For the same reason a real entry on the complex view equals the
+/// complex loops on a real gate in value: it leaves out the products of
+/// the gate's zero imaginary parts. The equivalence suite pins both down.
 struct KernelOps {
-  void (*real_pairs)(double* x, std::size_t len, std::size_t stride,
-                     const RealCoeffs& g);
-  void (*real_pairs2)(double* x, std::size_t len, std::size_t stride_a,
-                      const RealCoeffs& ga, std::size_t stride_b,
-                      const RealCoeffs& gb);
+  void (*real_run)(double* x, std::size_t len, std::span<const RealStep> steps);
   void (*real_pairs_controlled)(double* x, std::size_t len, std::size_t stride,
                                 const RealCoeffs& g, BasisState control_mask,
                                 BasisState control_value);

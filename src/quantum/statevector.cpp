@@ -75,16 +75,6 @@ double Statevector::fidelity(const Statevector& other) const {
 
 namespace {
 
-/// Structural, like the kernels' zero tests: an imaginary part that is
-/// exactly zero only ever contributes +-0 products, which the real entries
-/// leave out. A tolerance here would change results, not robustness.
-bool is_real_gate(const Gate1& g) {
-  for (const Amplitude& c : g.m) {
-    if (c.imag() != 0.0) return false;  // qlint-allow(float-equal): structural zero selects the real representation
-  }
-  return true;
-}
-
 kernels::RealCoeffs real_coeffs(const Gate1& g) {
   return {g.m[0].real(), g.m[1].real(), g.m[2].real(), g.m[3].real()};
 }
@@ -115,39 +105,45 @@ void Statevector::widen() {
 }
 
 void Statevector::apply(const Gate1& gate, unsigned target) {
-  check_qubit(target);
-  // The strided pair walk lives in the kernel layer: a real gate runs the
-  // runtime-dispatched real entries (AVX2 or scalar), a complex gate the
-  // one complex loop, which is the oracle the real entries are tested
-  // against.
-  const std::size_t stride = std::size_t{1} << target;
-  if (is_real_gate(gate)) {
-    const RealView v = real_view();
-    kernels::active_ops().real_pairs(v.x, v.len, stride << v.shift,
-                                     real_coeffs(gate));
-    return;
-  }
-  widen();
-  kernels::apply_pairs(amplitudes_.data(), amplitudes_.size(), stride,
-                       complex_coeffs(gate));
+  const TargetedGate one[] = {{gate, target}};
+  apply_run(one);
 }
 
-void Statevector::apply_pair(const Gate1& a, unsigned target_a, const Gate1& b,
-                             unsigned target_b) {
-  check_qubit(target_a);
-  check_qubit(target_b);
-  if (target_a == target_b) {
-    throw std::invalid_argument("apply_pair: targets are equal");
+void Statevector::apply_run(std::span<const TargetedGate> run) {
+  if (run.size() > kMaxRunGates) {
+    throw std::invalid_argument("apply_run: more than three gates");
   }
-  if (!is_real_gate(a) || !is_real_gate(b)) {
-    apply(a, target_a);
-    apply(b, target_b);
-    return;
+  for (auto it = run.begin(); it != run.end(); ++it) {
+    check_qubit(it->target);
+    for (auto prev = run.begin(); prev != it; ++prev) {
+      if (prev->target == it->target) {
+        throw std::invalid_argument("apply_run: repeated target");
+      }
+    }
   }
-  const RealView v = real_view();
-  kernels::active_ops().real_pairs2(
-      v.x, v.len, (std::size_t{1} << target_a) << v.shift, real_coeffs(a),
-      (std::size_t{1} << target_b) << v.shift, real_coeffs(b));
+  // The strided pair walk lives in the kernel layer. Consecutive real gates
+  // are one call of the runtime-dispatched real entry (AVX2 or scalar); a
+  // complex gate ends them and runs the one complex loop, which is the
+  // oracle the real entries are tested against.
+  std::size_t i = 0;
+  while (i < run.size()) {
+    if (!gates::is_real(run[i].g)) {
+      widen();
+      kernels::apply_pairs(amplitudes_.data(), amplitudes_.size(),
+                           std::size_t{1} << run[i].target,
+                           complex_coeffs(run[i].g));
+      ++i;
+      continue;
+    }
+    const RealView v = real_view();
+    kernels::RealStep steps[kMaxRunGates] = {};
+    std::size_t n = 0;
+    for (; i < run.size() && gates::is_real(run[i].g); ++i) {
+      steps[n++] = {(std::size_t{1} << run[i].target) << v.shift,
+                    real_coeffs(run[i].g)};
+    }
+    kernels::active_ops().real_run(v.x, v.len, {steps, n});
+  }
 }
 
 void Statevector::apply_controlled(const Gate1& gate,
@@ -166,7 +162,7 @@ void Statevector::apply_controlled(const Gate1& gate,
   }
   const std::size_t stride = std::size_t{1} << target;
   const BasisState control_value = control_mask & ~open_controls;
-  if (is_real_gate(gate)) {
+  if (gates::is_real(gate)) {
     const RealView v = real_view();
     kernels::active_ops().real_pairs_controlled(
         v.x, v.len, stride << v.shift, real_coeffs(gate),
@@ -201,11 +197,18 @@ void Statevector::swap_qubits(unsigned a, unsigned b) {
   cnot(a, b);
 }
 
-void Statevector::h_all() {
+void Statevector::h_all(unsigned first, unsigned count) {
+  if (first > num_qubits_ || count > num_qubits_ - first) {
+    throw std::invalid_argument("h_all: register out of range");
+  }
   const Gate1 hadamard = gates::hadamard();
-  unsigned q = 0;
-  for (; q + 1 < num_qubits_; q += 2) apply_pair(hadamard, q, hadamard, q + 1);
-  if (q < num_qubits_) apply(hadamard, q);
+  const unsigned end = first + count;
+  for (unsigned q = first; q < end; q += kMaxRunGates) {
+    TargetedGate run[kMaxRunGates] = {};
+    std::size_t n = 0;
+    for (unsigned t = q; t < end && n < kMaxRunGates; ++t) run[n++] = {hadamard, t};
+    apply_run({run, n});
+  }
 }
 
 BasisState Statevector::measure_all(util::Rng& rng) {

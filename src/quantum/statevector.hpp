@@ -7,10 +7,17 @@
 #include <vector>
 
 #include "src/quantum/gates.hpp"
+#include "src/quantum/kernels.hpp"
 #include "src/quantum/types.hpp"
 #include "src/util/rng.hpp"
 
 namespace qcongest::quantum {
+
+/// A gate and the qubit it acts on: one gate of Statevector::apply_run.
+struct TargetedGate {
+  Gate1 g;
+  unsigned target;
+};
 
 /// Dense statevector simulator over up to kMaxQubits qubits.
 ///
@@ -64,15 +71,19 @@ class Statevector {
 
   // --- Gates ---------------------------------------------------------------
 
+  /// The most gates one apply_run call takes.
+  static constexpr std::size_t kMaxRunGates = kernels::kMaxRunSteps;
+
+  /// `gate` on `target`: a run of one gate.
   void apply(const Gate1& gate, unsigned target);
 
-  /// `a` on `target_a`, then `b` on `target_b`. Two real gates are one
-  /// kernel call that shares one sweep over the state on AVX2; otherwise
-  /// it is apply(a, target_a) then apply(b, target_b). Either way the
-  /// result is byte-identical to those two calls. Throws
-  /// std::invalid_argument when the targets are equal.
-  void apply_pair(const Gate1& a, unsigned target_a, const Gate1& b,
-                  unsigned target_b);
+  /// The gates of `run` in order. Consecutive real gates are one kernel
+  /// call, which on AVX2 shares one sweep over the state; a complex gate
+  /// ends them and runs alone. Either way the result is byte-identical to
+  /// one apply call per gate, in order. Throws std::invalid_argument, with
+  /// the state unchanged, on a repeated or out-of-range target and on more
+  /// than kMaxRunGates gates.
+  void apply_run(std::span<const TargetedGate> run);
 
   /// Gate applied to `target`, controlled on every qubit in `controls`: a
   /// control fires on |1>, or on |0> when its bit is set in `open_controls`
@@ -89,9 +100,13 @@ class Statevector {
   void ccx(unsigned c1, unsigned c2, unsigned target);
   void swap_qubits(unsigned a, unsigned b);
 
-  /// Hadamard on every qubit: qubits (0, 1), (2, 3), ... as apply_pair
-  /// calls, and an odd top qubit alone.
-  void h_all();
+  /// Hadamard on qubits [first, first + count): (first, first + 1,
+  /// first + 2), (first + 3, ...), ... as apply_run calls of up to three
+  /// gates, the last one shorter when count is not a multiple of three.
+  /// Throws std::invalid_argument when the range leaves the register.
+  void h_all(unsigned first, unsigned count);
+  /// Hadamard on every qubit.
+  void h_all() { h_all(0, num_qubits_); }
 
   // --- Oracles / bulk operations -------------------------------------------
 

@@ -103,7 +103,7 @@ double gate_level_phase_estimation(const Circuit& u, const Circuit& prep,
   const unsigned total = m + precision;
   quantum::Statevector state(total);
   prep.embedded(total, 0).apply_to(state);
-  for (unsigned j = 0; j < precision; ++j) state.h(m + j);
+  state.h_all(m, precision);
 
   // Controlled powers: qubit m + j controls U^{2^j}.
   Circuit u_embedded = u.embedded(total, 0);
@@ -144,7 +144,7 @@ bool gate_level_deutsch_jozsa_is_constant(
   state.x(width);
   state.h_all();
   quantum::apply_bit_oracle(state, 0, width, width, f);
-  for (unsigned q = 0; q < width; ++q) state.h(q);
+  state.h_all(0, width);
 
   double p_zero = 0.0;
   for (quantum::BasisState b : {quantum::BasisState{0},
@@ -198,10 +198,10 @@ std::size_t gate_level_minfind(const std::vector<std::uint64_t>& data,
                                 [&](std::uint64_t i) { return data[i]; });
   };
   auto apply_diffusion = [&](quantum::Statevector& state) {
-    for (unsigned q = 0; q < idx_w; ++q) state.h(q);
+    state.h_all(0, idx_w);
     quantum::apply_phase_oracle(state, 0, idx_w,
                                 [](std::uint64_t i) { return i == 0; });
-    for (unsigned q = 0; q < idx_w; ++q) state.h(q);
+    state.h_all(0, idx_w);
   };
 
   // Durr-Hoyer descent with a BBHT inner loop, all at gate level.
@@ -215,7 +215,7 @@ std::size_t gate_level_minfind(const std::vector<std::uint64_t>& data,
     std::size_t j = rng.index(static_cast<std::size_t>(m) + 1);
     j = std::min(j, budget);
     quantum::Statevector state(total);
-    for (unsigned q = 0; q < idx_w; ++q) state.h(q);
+    state.h_all(0, idx_w);
     for (std::size_t it = 0; it < j; ++it) {
       apply_threshold_phase(state, best);
       apply_diffusion(state);

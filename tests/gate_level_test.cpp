@@ -129,22 +129,35 @@ TEST(PhaseFlip, OneOpPerMarkedState) {
   }
 }
 
-TEST(PhaseFlip, IterateMakesWidthPlusMarkedPlusTwoKernelCalls) {
-  // The iterate's two H layers run as w/2 pairs each (at odd w the last H
-  // of A pairs with the closing -I): w + |M| + 2 calls for its 2w + |M| + 2
-  // ops. At w = 1 every uncontrolled op targets qubit 0, so none pair.
-  for (unsigned width : {2u, 3u, 4u, 7u, 14u}) {
+TEST(PhaseFlip, IterateMakesGroupedKernelCalls) {
+  // The iterate's two H layers run as ceil(w/3) runs of up to three gates
+  // each, and the closing -I on qubit 0 joins the last run of A's layer
+  // when that run has room (3 does not divide w) and does not hold qubit 0
+  // already, which is every w >= 4: |M| + 1 + 2 ceil(w/3) calls, plus one
+  // when 3 divides w. Below that the count is |M| + 4: at w = 3 the runs
+  // are full, at w = 2 A's run holds qubit 0, and at w = 1 every op is an
+  // uncontrolled gate on qubit 0, so none group.
+  auto grouped = [](unsigned w, std::size_t m) -> std::size_t {
+    if (w <= 3) return m + 4;
+    return m + 1 + 2 * ((w + 2) / 3) + (w % 3 == 0 ? 1 : 0);
+  };
+  for (unsigned width : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 14u, 16u}) {
     for (const std::vector<BasisState>& marked :
          {std::vector<BasisState>{0}, std::vector<BasisState>{0, 1},
           std::vector<BasisState>{1, 2, 3}}) {
+      if (marked.back() >= (BasisState{1} << width)) continue;
       quantum::Statevector sv(width);
       EXPECT_EQ(grover_iterate_circuit(width, marked).apply_to(sv),
-                width + marked.size() + 2)
+                grouped(width, marked.size()))
           << "w " << width << " |M| " << marked.size();
     }
   }
-  quantum::Statevector one(1);
-  EXPECT_EQ(grover_iterate_circuit(1, {1}).apply_to(one), 2u + 1u + 2u);
+  // The pinned sizes: 2w + |M| + 2 ops in 15 calls at w = 16 and 13 at
+  // w = 14 with two marked states.
+  quantum::Statevector sixteen(16);
+  EXPECT_EQ(grover_iterate_circuit(16, {5, 65530}).apply_to(sixteen), 15u);
+  quantum::Statevector fourteen(14);
+  EXPECT_EQ(grover_iterate_circuit(14, {5, 16378}).apply_to(fourteen), 13u);
 }
 
 TEST(PhaseFlip, RejectsDuplicateAndOutOfRangeStates) {

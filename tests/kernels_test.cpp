@@ -8,19 +8,20 @@
 // other qubits, with control values that fire on |1>, alternately and on
 // |0>, and the inverse QFT of amplitude estimation.
 //
-// The real entries (real_pairs, real_pairs2, real_pairs_controlled) run
-// every real gate on packed reals and on complex states read as doubles
-// (the shifted view Statevector uses), for the scalar backend and the AVX2
-// one where the CPU has it, over qubit counts 1-12, every target, and
-// control sets above, below and straddling the target. They leave out only
-// +-0 products, so they must equal the complex loops in value, with at
-// most the sign of a zero differing. The two-gate entry is also diffed
-// byte for byte against the same backend's two one-gate calls, which is
-// what lets Circuit::apply_to and Statevector::h_all pair gates without
-// changing a single output byte.
+// The real entries (real_run, real_pairs_controlled) run every real gate on
+// packed reals and on complex states read as doubles (the shifted view
+// Statevector uses), for the scalar backend and the AVX2 one where the CPU
+// has it, over qubit counts 1-12, every target, and control sets above,
+// below and straddling the target. They leave out only +-0 products, so
+// they must equal the complex loops in value, with at most the sign of a
+// zero differing. Runs of three gates are also diffed byte for byte against
+// the same backend's one-gate calls in order, which is what lets
+// Circuit::apply_to and Statevector::h_all group gates without changing a
+// single output byte.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <complex>
 #include <cstring>
@@ -142,6 +143,28 @@ void expect_equal_values(const std::vector<double>& got,
   }
 }
 
+/// The fast check behind expect_equal_values, for the suites that compare
+/// hundreds of thousands of runs: true when every part is equal as a value.
+bool equal_values(const std::vector<Amplitude>& got,
+                  const std::vector<Amplitude>& want) {
+  if (got.size() != want.size()) return false;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    if (got[i].real() != want[i].real() || got[i].imag() != want[i].imag()) {
+      return false;
+    }
+  }
+  return true;
+}
+
+bool equal_values(const std::vector<double>& got,
+                  const std::vector<Amplitude>& want) {
+  if (got.size() != want.size()) return false;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    if (got[i] != want[i].real() || want[i].imag() != 0.0) return false;
+  }
+  return true;
+}
+
 void expect_close(const std::vector<Amplitude>& got,
                   const std::vector<Amplitude>& want, const char* label) {
   ASSERT_EQ(got.size(), want.size());
@@ -163,11 +186,46 @@ bool same_bytes(const std::vector<double>& a, const std::vector<double>& b) {
          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
 }
 
-std::string pair_label(const char* backend, const char* ga, const char* gb,
-                       unsigned qubits, unsigned ta, unsigned tb) {
-  return std::string(backend) + " " + ga + "@" + std::to_string(ta) + " then " +
-         gb + "@" + std::to_string(tb) + " on " + std::to_string(qubits) +
-         " qubits";
+/// The real zoo plus the iterate's -I and diag(-1, 1), a synthetic
+/// H-shaped gate (g10 = g00, g11 = -g01) and a near miss one ulp off it in
+/// g11, which must take the general butterfly.
+std::vector<std::pair<const char*, Gate1>> run_zoo() {
+  auto zoo = real_zoo();
+  zoo.push_back({"minus_identity", Gate1{{Amplitude{-1, 0}, {0, 0}, {0, 0}, {-1, 0}}}});
+  zoo.push_back({"flip_zero", Gate1{{Amplitude{-1, 0}, {0, 0}, {0, 0}, {1, 0}}}});
+  zoo.push_back({"h_shaped", Gate1{{Amplitude{0.6, 0}, {0.8, 0}, {0.6, 0}, {-0.8, 0}}}});
+  zoo.push_back({"near_miss", Gate1{{Amplitude{0.6, 0},
+                                     {0.8, 0},
+                                     {0.6, 0},
+                                     {std::nextafter(-0.8, -1.0), 0}}}});
+  return zoo;
+}
+
+/// Calls f(qubits, targets) for every ordered triple of distinct targets at
+/// 3-8 qubits.
+template <typename F>
+void for_each_target_triple(const F& f) {
+  for (unsigned qubits = 3; qubits <= 8; ++qubits) {
+    for (unsigned t0 = 0; t0 < qubits; ++t0) {
+      for (unsigned t1 = 0; t1 < qubits; ++t1) {
+        for (unsigned t2 = 0; t2 < qubits; ++t2) {
+          if (t0 == t1 || t0 == t2 || t1 == t2) continue;
+          const unsigned targets[] = {t0, t1, t2};
+          f(qubits, targets);
+        }
+      }
+    }
+  }
+}
+
+std::string run_label(const char* backend, unsigned qubits,
+                      const unsigned* targets, const char* const* names) {
+  std::string out = std::string(backend) + " on " + std::to_string(qubits) +
+                    " qubits:";
+  for (int k = 0; k < 3; ++k) {
+    out += std::string(" ") + names[k] + "@" + std::to_string(targets[k]);
+  }
+  return out;
 }
 
 TEST(KernelEquivalence, RealEntryEveryRealGateEveryTargetQubits1To12) {
@@ -185,12 +243,13 @@ TEST(KernelEquivalence, RealEntryEveryRealGateEveryTargetQubits1To12) {
         for (const auto& [bname, ops] : all_backends()) {
           SCOPED_TRACE(std::string(bname) + " " + gname + " q" +
                        std::to_string(qubits) + " t" + std::to_string(target));
+          const kernels::RealStep viewed{stride << 1, real_coeffs(gate)};
           auto view = base;
-          ops->real_pairs(as_doubles(view), 2 * view.size(), stride << 1,
-                          real_coeffs(gate));
+          ops->real_run(as_doubles(view), 2 * view.size(), {&viewed, 1});
           expect_equal_values(view, oracle);
+          const kernels::RealStep step{stride, real_coeffs(gate)};
           auto packed = real_base.packed;
-          ops->real_pairs(packed.data(), packed.size(), stride, real_coeffs(gate));
+          ops->real_run(packed.data(), packed.size(), {&step, 1});
           expect_equal_values(packed, real_oracle);
         }
       }
@@ -247,86 +306,123 @@ TEST(KernelEquivalence, RealControlledEveryMaskShape) {
   }
 }
 
-TEST(KernelEquivalence, TwoGateEntryEveryGatePairEveryTargetPair) {
-  // The real two-gate entry against the complex scalar oracle's two calls:
-  // every real gate pair on every ordered target pair, packed and viewed.
-  const auto zoo = real_zoo();
-  for (unsigned qubits = 2; qubits <= 12; ++qubits) {
-    const auto base = random_state(qubits, 3000 + qubits);
-    const auto real_base = random_real_state(qubits, 3100 + qubits);
-    for (unsigned ta = 0; ta < qubits; ++ta) {
-      for (unsigned tb = 0; tb < qubits; ++tb) {
-        if (ta == tb) continue;
-        const std::size_t sa = std::size_t{1} << ta;
-        const std::size_t sb = std::size_t{1} << tb;
-        for (const auto& [na, gate_a] : zoo) {
-          for (const auto& [nb, gate_b] : zoo) {
-            const auto ra = real_coeffs(gate_a);
-            const auto rb = real_coeffs(gate_b);
-            auto oracle = base;
-            kernels::apply_pairs(oracle.data(), oracle.size(), sa,
-                                 coeffs(gate_a));
-            kernels::apply_pairs(oracle.data(), oracle.size(), sb,
-                                 coeffs(gate_b));
-            auto real_oracle = real_base.complex;
-            kernels::apply_pairs(real_oracle.data(), real_oracle.size(), sa,
-                                 coeffs(gate_a));
-            kernels::apply_pairs(real_oracle.data(), real_oracle.size(), sb,
-                                 coeffs(gate_b));
-            for (const auto& [bname, ops] : all_backends()) {
-              SCOPED_TRACE(pair_label(bname, na, nb, qubits, ta, tb));
-              auto view = base;
-              ops->real_pairs2(as_doubles(view), 2 * view.size(), sa << 1, ra,
-                               sb << 1, rb);
-              expect_equal_values(view, oracle);
-              auto packed = real_base.packed;
-              ops->real_pairs2(packed.data(), packed.size(), sa, ra, sb, rb);
-              expect_equal_values(packed, real_oracle);
-            }
-          }
-        }
-      }
+/// Random complex and real states at 0-8 qubits, one per qubit count.
+struct RunBases {
+  std::vector<std::vector<Amplitude>> complex;
+  std::vector<RealState> real;
+  explicit RunBases(std::uint64_t seed) {
+    for (unsigned qubits = 0; qubits <= 8; ++qubits) {
+      complex.push_back(random_state(qubits, seed + qubits));
+      real.push_back(random_real_state(qubits, seed + 100 + qubits));
     }
   }
-}
+};
 
-TEST(KernelEquivalence, TwoGateEntryIsItsTwoOneGateCallsByteForByte) {
-  const auto zoo = real_zoo();
-  for (unsigned qubits = 2; qubits <= 12; ++qubits) {
-    const auto base = random_state(qubits, 4000 + qubits);
-    const auto real_base = random_real_state(qubits, 4100 + qubits);
-    for (unsigned ta = 0; ta < qubits; ++ta) {
-      for (unsigned tb = 0; tb < qubits; ++tb) {
-        if (ta == tb) continue;
-        const std::size_t sa = std::size_t{1} << ta;
-        const std::size_t sb = std::size_t{1} << tb;
-        for (const auto& [na, gate_a] : zoo) {
-          for (const auto& [nb, gate_b] : zoo) {
-            const auto ra = real_coeffs(gate_a);
-            const auto rb = real_coeffs(gate_b);
-            for (const auto& [bname, ops] : all_backends()) {
-              auto two_calls = base;
-              ops->real_pairs(as_doubles(two_calls), 2 * base.size(), sa << 1, ra);
-              ops->real_pairs(as_doubles(two_calls), 2 * base.size(), sb << 1, rb);
-              auto paired = base;
-              ops->real_pairs2(as_doubles(paired), 2 * base.size(), sa << 1, ra,
-                               sb << 1, rb);
-              ASSERT_TRUE(same_bytes(paired, two_calls))
-                  << "view " << pair_label(bname, na, nb, qubits, ta, tb);
-              auto packed_two_calls = real_base.packed;
-              ops->real_pairs(packed_two_calls.data(), packed_two_calls.size(),
-                              sa, ra);
-              ops->real_pairs(packed_two_calls.data(), packed_two_calls.size(),
-                              sb, rb);
-              auto packed = real_base.packed;
-              ops->real_pairs2(packed.data(), packed.size(), sa, ra, sb, rb);
-              ASSERT_TRUE(same_bytes(packed, packed_two_calls))
-                  << "packed " << pair_label(bname, na, nb, qubits, ta, tb);
+TEST(KernelEquivalence, RunEntryEveryGateTripleEveryTargetTriple) {
+  // The real run entry against the complex scalar oracle's three calls:
+  // every gate triple of run_zoo() on every ordered target triple, packed
+  // and viewed. The oracle after the first one and two gates is shared by
+  // every run that starts with them.
+  const RunBases bases(3000);
+  const auto zoo = run_zoo();
+  for_each_target_triple([&](unsigned qubits, const unsigned* targets) {
+    // oracle[k] / real_oracle[k]: the view's and the packed state's values
+    // after the run's first k gates.
+    std::vector<Amplitude> oracle[4] = {bases.complex[qubits]};
+    std::vector<Amplitude> real_oracle[4] = {bases.real[qubits].complex};
+    std::vector<Amplitude> view;
+    std::vector<double> packed;
+    std::size_t pick[3];
+    auto extend = [&](int k) {
+      const auto g = coeffs(zoo[pick[k]].second);
+      const std::size_t stride = std::size_t{1} << targets[k];
+      oracle[k + 1] = oracle[k];
+      kernels::apply_pairs(oracle[k + 1].data(), oracle[k + 1].size(), stride, g);
+      real_oracle[k + 1] = real_oracle[k];
+      kernels::apply_pairs(real_oracle[k + 1].data(), real_oracle[k + 1].size(),
+                           stride, g);
+    };
+    for (pick[0] = 0; pick[0] < zoo.size(); ++pick[0]) {
+      extend(0);
+      for (pick[1] = 0; pick[1] < zoo.size(); ++pick[1]) {
+        extend(1);
+        for (pick[2] = 0; pick[2] < zoo.size(); ++pick[2]) {
+          extend(2);
+          kernels::RealStep viewed[3];
+          kernels::RealStep steps[3];
+          const char* names[3];
+          for (int k = 0; k < 3; ++k) {
+            const auto r = real_coeffs(zoo[pick[k]].second);
+            viewed[k] = {std::size_t{2} << targets[k], r};
+            steps[k] = {std::size_t{1} << targets[k], r};
+            names[k] = zoo[pick[k]].first;
+          }
+          for (const auto& [bname, ops] : all_backends()) {
+            view = bases.complex[qubits];
+            ops->real_run(as_doubles(view), 2 * view.size(), {viewed, 3});
+            packed = bases.real[qubits].packed;
+            ops->real_run(packed.data(), packed.size(), {steps, 3});
+            if (!equal_values(view, oracle[3]) ||
+                !equal_values(packed, real_oracle[3])) {
+              SCOPED_TRACE(run_label(bname, qubits, targets, names));
+              expect_equal_values(view, oracle[3]);
+              expect_equal_values(packed, real_oracle[3]);
+              FAIL();
             }
           }
         }
       }
     }
+  });
+}
+
+TEST(KernelEquivalence, RunEntryIsItsOneGateCallsByteForByte) {
+  // Each backend's run against its own one-gate calls in order, on the
+  // view and on packed reals; the calls for the first one and two gates
+  // are shared by every run that starts with them.
+  const RunBases bases(4000);
+  const auto zoo = run_zoo();
+  for (const auto& [bname, ops] : all_backends()) {
+    for_each_target_triple([&](unsigned qubits, const unsigned* targets) {
+      // calls[k] / packed_calls[k]: after the first k one-gate calls.
+      std::vector<Amplitude> calls[4] = {bases.complex[qubits]};
+      std::vector<double> packed_calls[4] = {bases.real[qubits].packed};
+      std::vector<Amplitude> run;
+      std::vector<double> packed;
+      kernels::RealStep viewed[3];
+      kernels::RealStep steps[3];
+      std::size_t pick[3];
+      auto extend = [&](int k) {
+        const auto r = real_coeffs(zoo[pick[k]].second);
+        viewed[k] = {std::size_t{2} << targets[k], r};
+        steps[k] = {std::size_t{1} << targets[k], r};
+        calls[k + 1] = calls[k];
+        ops->real_run(as_doubles(calls[k + 1]), 2 * calls[k + 1].size(),
+                      {&viewed[k], 1});
+        packed_calls[k + 1] = packed_calls[k];
+        ops->real_run(packed_calls[k + 1].data(), packed_calls[k + 1].size(),
+                      {&steps[k], 1});
+      };
+      for (pick[0] = 0; pick[0] < zoo.size(); ++pick[0]) {
+        extend(0);
+        for (pick[1] = 0; pick[1] < zoo.size(); ++pick[1]) {
+          extend(1);
+          for (pick[2] = 0; pick[2] < zoo.size(); ++pick[2]) {
+            extend(2);
+            run = bases.complex[qubits];
+            ops->real_run(as_doubles(run), 2 * run.size(), {viewed, 3});
+            packed = bases.real[qubits].packed;
+            ops->real_run(packed.data(), packed.size(), {steps, 3});
+            if (!same_bytes(run, calls[3]) || !same_bytes(packed, packed_calls[3])) {
+              const char* names[3];
+              for (int k = 0; k < 3; ++k) names[k] = zoo[pick[k]].first;
+              FAIL() << run_label(bname, qubits, targets, names)
+                     << (same_bytes(run, calls[3]) ? ": packed" : ": view");
+            }
+          }
+        }
+      }
+    });
   }
 }
 
@@ -532,28 +628,73 @@ TEST(KernelEquivalence, StatevectorLevelCircuitMatchesScalarKernels) {
 }
 
 TEST(StatevectorPair, HAllMatchesOneHadamardPerQubit) {
+  // The whole register and every range of it, on a real state and on a
+  // complex one.
   for (unsigned qubits = 1; qubits <= 11; ++qubits) {
-    Statevector all(qubits, (BasisState{1} << qubits) / 3);
-    Statevector each = all;
-    // A generic state first, so every amplitude and sign is in play.
-    for (unsigned q = 0; q < qubits; ++q) {
-      all.apply(gates::ry(0.3 + q), q);
-      each.apply(gates::ry(0.3 + q), q);
-      all.apply(gates::t(), q);
-      each.apply(gates::t(), q);
+    for (const bool complex : {false, true}) {
+      Statevector generic(qubits, (BasisState{1} << qubits) / 3);
+      // A generic state first, so every amplitude and sign is in play.
+      for (unsigned q = 0; q < qubits; ++q) {
+        generic.apply(gates::ry(0.3 + q), q);
+        if (complex) generic.apply(gates::t(), q);
+      }
+      Statevector all = generic;
+      Statevector each = generic;
+      all.h_all();
+      for (unsigned q = 0; q < qubits; ++q) each.h(q);
+      EXPECT_TRUE(same_bytes(all.amplitudes(), each.amplitudes())) << qubits;
+      for (unsigned first = 0; first <= qubits; ++first) {
+        for (unsigned count = 0; first + count <= qubits; ++count) {
+          Statevector range = generic;
+          Statevector one_by_one = generic;
+          range.h_all(first, count);
+          for (unsigned q = first; q < first + count; ++q) one_by_one.h(q);
+          EXPECT_TRUE(same_bytes(range.amplitudes(), one_by_one.amplitudes()))
+              << qubits << " [" << first << ", " << first + count << ")";
+          EXPECT_EQ(range.is_real(), !complex);
+        }
+      }
     }
-    all.h_all();
-    for (unsigned q = 0; q < qubits; ++q) each.h(q);
-    EXPECT_TRUE(same_bytes(all.amplitudes(), each.amplitudes())) << qubits;
+  }
+}
+
+TEST(StatevectorRun, ComplexGateEndsTheRealRunBeforeIt) {
+  // A complex gate inside a run widens the state there; the real gates on
+  // either side still match their one-gate calls byte for byte.
+  const unsigned qubits = 6;
+  Statevector generic(qubits, 19);
+  for (unsigned q = 0; q < qubits; ++q) generic.apply(gates::ry(0.5 + q), q);
+  const std::vector<std::vector<TargetedGate>> runs{
+      {{gates::ry(0.7), 2}, {gates::t(), 0}, {gates::hadamard(), 5}},
+      {{gates::t(), 1}, {gates::hadamard(), 0}, {gates::pauli_z(), 4}},
+      {{gates::hadamard(), 3}, {gates::pauli_x(), 0}, {gates::rx(0.4), 1}},
+      {{gates::s(), 5}, {gates::t(), 4}},
+  };
+  for (const auto& run : runs) {
+    Statevector grouped = generic;
+    Statevector one_by_one = generic;
+    grouped.apply_run(run);
+    for (const TargetedGate& t : run) one_by_one.apply(t.g, t.target);
+    EXPECT_FALSE(grouped.is_real());
+    EXPECT_TRUE(same_bytes(grouped.amplitudes(), one_by_one.amplitudes()));
   }
 }
 
 TEST(StatevectorPair, RejectsEqualAndOutOfRangeTargets) {
   Statevector sv(3);
   const Gate1 h = gates::hadamard();
-  EXPECT_THROW(sv.apply_pair(h, 1, gates::pauli_x(), 1), std::invalid_argument);
-  EXPECT_THROW(sv.apply_pair(h, 3, h, 0), std::invalid_argument);
-  EXPECT_THROW(sv.apply_pair(h, 0, h, 3), std::invalid_argument);
+  const TargetedGate equal[] = {{h, 1}, {gates::pauli_x(), 1}};
+  const TargetedGate repeated[] = {{h, 0}, {h, 2}, {h, 0}};
+  const TargetedGate out_of_range[] = {{h, 3}, {h, 0}};
+  const TargetedGate last_out_of_range[] = {{h, 0}, {h, 1}, {h, 3}};
+  const TargetedGate four[] = {{h, 0}, {h, 1}, {h, 2}, {h, 0}};
+  EXPECT_THROW(sv.apply_run(equal), std::invalid_argument);
+  EXPECT_THROW(sv.apply_run(repeated), std::invalid_argument);
+  EXPECT_THROW(sv.apply_run(out_of_range), std::invalid_argument);
+  EXPECT_THROW(sv.apply_run(last_out_of_range), std::invalid_argument);
+  EXPECT_THROW(sv.apply_run(four), std::invalid_argument);
+  EXPECT_THROW(sv.h_all(1, 3), std::invalid_argument);
+  EXPECT_THROW(sv.h_all(4, 0), std::invalid_argument);
   // Nothing was applied: the state is still |000>.
   EXPECT_EQ(sv.amplitude(0), Amplitude(1, 0));
 }
@@ -582,7 +723,9 @@ TEST(StatevectorReal, WidenedStateEqualsComplexFromStart) {
         sv.h_all();
         sv.apply(gates::ry(0.7), 2);
         sv.cnot(1, 3);
-        sv.apply_pair(gates::ry(1.3), 5, gates::pauli_z(), 0);
+        const TargetedGate run[] = {{gates::ry(1.3), 5}, {gates::pauli_z(), 0},
+                                    {gates::hadamard(), 2}};
+        sv.apply_run(run);
         sv.apply_controlled(gates::hadamard(), controls, 6, BasisState{1});
         sv.apply_diagonal([](BasisState b) {
           return (b % 3 == 0) ? Amplitude{-1, 0} : Amplitude{1, 0};
@@ -602,7 +745,8 @@ TEST(StatevectorReal, WidenedStateEqualsComplexFromStart) {
         return;
       }
       sv.h_all();
-      sv.apply_pair(gates::ry(0.4), 1, gates::rx(0.9), 6);
+      const TargetedGate run[] = {{gates::ry(0.4), 1}, {gates::rx(0.9), 6}};
+      sv.apply_run(run);
       sv.ccx(0, 2, 5);
       sv.apply_controlled(gates::ry(2.2), controls, 3, BasisState{1} << 4);
       sv.apply_permutation([](BasisState b) { return b ^ 0b1010; });
@@ -663,52 +807,77 @@ struct TestOp {
   BasisState open_controls;
 };
 
-/// Kernel calls Circuit::apply_to is specified to make: ops i and i + 1
-/// share one call when both are uncontrolled on different targets.
-std::size_t expected_calls(const std::vector<TestOp>& ops) {
+/// Kernel calls Circuit::apply_to is specified to make: each maximal run of
+/// up to three consecutive uncontrolled real gates on distinct targets
+/// shares one call; a controlled op or a complex gate is a call alone.
+/// `longest` receives the most gates one call took.
+std::size_t expected_calls(const std::vector<TestOp>& ops,
+                           std::size_t* longest) {
+  *longest = 0;
+  auto groups = [](const TestOp& op) {
+    return op.controls.empty() && gates::is_real(op.g);
+  };
   std::size_t calls = 0;
   for (std::size_t i = 0; i < ops.size(); ++calls) {
-    const bool pairs = ops[i].controls.empty() && i + 1 < ops.size() &&
-                       ops[i + 1].controls.empty() &&
-                       ops[i + 1].target != ops[i].target;
-    i += pairs ? 2 : 1;
+    if (!groups(ops[i])) {
+      ++i;
+      *longest = std::max<std::size_t>(*longest, 1);
+      continue;
+    }
+    std::vector<unsigned> targets{ops[i++].target};
+    while (targets.size() < 3 && i < ops.size() && groups(ops[i]) &&
+           std::find(targets.begin(), targets.end(), ops[i].target) ==
+               targets.end()) {
+      targets.push_back(ops[i++].target);
+    }
+    *longest = std::max(*longest, targets.size());
   }
   return calls;
 }
 
 TEST(CircuitPairing, ApplyToMatchesOneOpAtATimeByteForByte) {
-  // Real gates (H, X, Z, RY, -I, diag(-1, 1)) take the AVX2 two-gate
-  // sweep; complex ones fall back to two passes; controlled ops break runs.
+  // Circuits made of stretches of 1-5 uncontrolled gates, where a target
+  // often repeats, between controlled ops. Real gates (H, X, Z, RY, -I,
+  // diag(-1, 1)) group into runs of up to three; complex ones and
+  // controlled ops end a run and take a call of their own.
   auto zoo = gate_zoo();
   zoo.push_back({"minus_identity", Gate1{{Amplitude{-1, 0}, {0, 0}, {0, 0}, {-1, 0}}}});
   zoo.push_back({"flip_zero", Gate1{{Amplitude{-1, 0}, {0, 0}, {0, 0}, {1, 0}}}});
   util::Rng rng(15);
-  std::size_t paired_total = 0;
-  for (int trial = 0; trial < 60; ++trial) {
+  std::size_t grouped_total = 0;
+  std::size_t three_gate_runs = 0;
+  for (int trial = 0; trial < 80; ++trial) {
     const auto qubits = static_cast<unsigned>(1 + rng.index(9));
     std::vector<TestOp> ops;
     Circuit circuit(qubits);
-    const std::size_t length = 1 + rng.index(40);
-    for (std::size_t k = 0; k < length; ++k) {
-      const Gate1 g = zoo[rng.index(zoo.size())].second;
-      // One op in four repeats the previous target, so same-target
-      // neighbours (which must not pair) are common.
-      unsigned target = static_cast<unsigned>(rng.index(qubits));
-      if (!ops.empty() && rng.index(4) == 0) target = ops.back().target;
-      TestOp op{g, {}, target, 0};
-      if (qubits > 1 && rng.index(4) == 0) {
-        const unsigned control = (target + 1 + static_cast<unsigned>(rng.index(qubits - 1))) % qubits;
-        op.controls.push_back(control);
+    const std::size_t stretches = 1 + rng.index(10);
+    for (std::size_t k = 0; k < stretches; ++k) {
+      const std::size_t stretch = 1 + rng.index(5);
+      for (std::size_t j = 0; j < stretch; ++j) {
+        const Gate1 g = zoo[rng.index(zoo.size())].second;
+        // One gate in four repeats a target of its stretch, so runs that a
+        // repeated target must break are common.
+        unsigned target = static_cast<unsigned>(rng.index(qubits));
+        if (j > 0 && rng.index(4) == 0) {
+          target = ops[ops.size() - 1 - rng.index(j)].target;
+        }
+        circuit.gate(g, target);
+        ops.push_back(TestOp{g, {}, target, 0});
+      }
+      if (qubits > 1 && rng.index(2) == 0) {
+        const Gate1 g = zoo[rng.index(zoo.size())].second;
+        const auto target = static_cast<unsigned>(rng.index(qubits));
+        const unsigned control =
+            (target + 1 + static_cast<unsigned>(rng.index(qubits - 1))) % qubits;
+        TestOp op{g, {control}, target, 0};
         if (rng.index(2) == 0) op.open_controls = BasisState{1} << control;
         circuit.controlled(g, op.controls, target, op.open_controls);
-      } else {
-        circuit.gate(g, target);
+        ops.push_back(op);
       }
-      ops.push_back(op);
     }
-    Statevector paired(qubits, rng.index(std::size_t{1} << qubits));
-    Statevector one_at_a_time = paired;
-    const std::size_t calls = circuit.apply_to(paired);
+    Statevector grouped(qubits, rng.index(std::size_t{1} << qubits));
+    Statevector one_at_a_time = grouped;
+    const std::size_t calls = circuit.apply_to(grouped);
     for (const TestOp& op : ops) {
       if (op.controls.empty()) {
         one_at_a_time.apply(op.g, op.target);
@@ -717,21 +886,27 @@ TEST(CircuitPairing, ApplyToMatchesOneOpAtATimeByteForByte) {
                                        op.open_controls);
       }
     }
-    ASSERT_TRUE(same_bytes(paired.amplitudes(), one_at_a_time.amplitudes()))
+    ASSERT_TRUE(same_bytes(grouped.amplitudes(), one_at_a_time.amplitudes()))
         << "trial " << trial;
-    EXPECT_EQ(calls, expected_calls(ops)) << "trial " << trial;
-    paired_total += ops.size() - calls;
+    EXPECT_EQ(grouped.is_real(), one_at_a_time.is_real()) << "trial " << trial;
+    std::size_t longest = 0;
+    EXPECT_EQ(calls, expected_calls(ops, &longest)) << "trial " << trial;
+    grouped_total += ops.size() - calls;
+    three_gate_runs += longest == 3 ? 1 : 0;
   }
-  EXPECT_GT(paired_total, 0u);  // the sweep really ran
+  EXPECT_GT(grouped_total, 0u);   // runs really formed
+  EXPECT_GT(three_gate_runs, 0u);  // and some circuits grouped three gates
 }
 
-TEST(CircuitPairing, CountsOneCallPerPairControlledOpAndLoneGate) {
-  Circuit c(3);
-  c.h(0).h(1).h(2);           // (H0, H1) pair; H2 alone before a controlled op
-  c.cnot(0, 2);               // controlled: one call
-  c.x(1).x(1).z(2);           // X1 alone (same target next), then (X1, Z2)
-  Statevector sv(3);
-  EXPECT_EQ(c.apply_to(sv), 5u);
+TEST(CircuitPairing, CountsOneCallPerRunControlledOpAndLoneGate) {
+  Circuit c(4);
+  c.h(0).h(1).h(2).h(3);    // (H0, H1, H2) full; H3 alone before a controlled op
+  c.cnot(0, 2);             // controlled: one call
+  c.x(1).x(1).z(2);         // X1 alone (same target next), then (X1, Z2) ...
+  c.rz(3, 0.5);             // ... which a complex gate ends; RZ3 alone
+  c.h(0).h(1).z(0).ry(2, 0.3);  // (H0, H1), then (Z0, RY2) after the repeat
+  Statevector sv(4);
+  EXPECT_EQ(c.apply_to(sv), 8u);
 }
 
 TEST(KernelDispatch, ActiveBackendIsCoherent) {

@@ -731,6 +731,28 @@ TEST(QlintHotPath, FlagsAllocationInCircuitApplyTo) {
   EXPECT_EQ(d[0].line, 6u);
 }
 
+TEST(QlintHotPath, FlagsAllocationInStatevectorRunEntries) {
+  // apply_run is every uncontrolled gate's entry and h_all's ranged layer
+  // runs once per H layer; a heap buffer for the run's steps would cost an
+  // allocator round-trip per kernel call. Both sit in the same translation
+  // unit as the allocating constructor, which is cold.
+  auto d = lint_source("src/quantum/statevector.cpp",
+                       "Statevector::Statevector(unsigned n) {\n"
+                       "  amplitudes_.push_back(Amplitude{1, 0});\n"
+                       "}\n"
+                       "void Statevector::apply_run(std::span<const TargetedGate> run) {\n"
+                       "  auto steps = std::make_unique<kernels::RealStep[]>(run.size());\n"
+                       "}\n"
+                       "void Statevector::h_all(unsigned first, unsigned count) {\n"
+                       "  std::vector<TargetedGate>* run = new std::vector<TargetedGate>;\n"
+                       "}\n");
+  ASSERT_EQ(d.size(), 2u);
+  EXPECT_EQ(d[0].rule, "hot-path-alloc");
+  EXPECT_EQ(d[0].line, 5u);
+  EXPECT_EQ(d[1].rule, "hot-path-alloc");
+  EXPECT_EQ(d[1].line, 8u);
+}
+
 TEST(QlintHotPath, FlagsAllocationInStatevectorWiden) {
   // Widening turns the packed reals into complex amplitudes in place; a
   // second buffer there would double the state's peak memory.
