@@ -1,7 +1,8 @@
 // E-fault — the price of reliability: measured round overhead of the
 // ack/retransmit link layer (src/net/reliable.hpp) as the deterministic
 // fault rate rises, for representative communication patterns (BFS-tree
-// construction and the Lemma 7 pipelined downcast).
+// construction and the Lemma 7 pipelined downcast), and its fault-free
+// cost against the direct transport as the diameter grows.
 //
 // Reports, per fault level: median rounds over the reliable transport, the
 // clean-network baseline, their ratio (the overhead curve chaos_run plots),
@@ -74,6 +75,25 @@ BENCHMARK(BM_FaultOverheadBfs)
     ->Args({100, 31})
     ->Args({50, 63})
     ->Args({100, 63});
+
+// The synchronizer's tax at depth: fault-free BFS-tree construction on a
+// path, reliable rounds (measured) against the direct transport's rounds
+// of the same protocol (bound). The ratio is the physical-per-virtual
+// round cost; the horizon rule keeps it constant (about 4 at B = 1)
+// instead of growing with the diameter.
+void BM_FaultOverheadDepth(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  net::Graph g = net::path_graph(n);
+  double rounds = 0;
+  for (auto _ : state) {
+    net::Engine engine = make_engine(g, 0.0, 1);
+    rounds = static_cast<double>(net::build_bfs_tree(engine, 0).cost.rounds);
+  }
+  net::Engine direct(g, 1, 1);
+  bench::report(state, rounds,
+                static_cast<double>(net::build_bfs_tree(direct, 0).cost.rounds));
+}
+BENCHMARK(BM_FaultOverheadDepth)->ArgNames({"n"})->Arg(64)->Arg(128)->Arg(256);
 
 void BM_FaultOverheadDowncast(benchmark::State& state) {
   const auto rate_permille = static_cast<double>(state.range(0));

@@ -29,8 +29,8 @@ using namespace qcongest;
 // Outage window in physical rounds: late enough that committed virtual
 // rounds of protocol state are lost, early enough that BFS construction on
 // every swept graph is still in flight when it opens (cf. tools/chaos_run).
-constexpr std::size_t kCrashRound = 30;
-constexpr std::size_t kRestartRound = 60;
+constexpr std::size_t kCrashRound = 6;
+constexpr std::size_t kRestartRound = 30;
 
 net::FaultPlan outage(net::NodeId victim, bool amnesia) {
   net::FaultPlan plan;

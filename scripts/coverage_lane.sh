@@ -29,8 +29,10 @@ echo "== ctest =="
 
 echo "== chaos_run lanes =="
 "${CHAOS_RUN}" --nodes 15 --trials 5
+"${CHAOS_RUN}" --graph path --nodes 128 --transport reliable --trials 3
 "${CHAOS_RUN}" --audit-determinism --graph tree --nodes 15
 "${CHAOS_RUN}" --audit-determinism --graph random --nodes 12 --seed 7
+"${CHAOS_RUN}" --audit-determinism --graph path --nodes 64
 "${CHAOS_RUN}" --audit-determinism --graph grid --nodes 16 --transport direct
 "${CHAOS_RUN}" --audit-determinism --graph random --nodes 12 --threads 8 --transport direct
 "${CHAOS_RUN}" --audit-determinism --graph tree --nodes 15 --threads 8

@@ -35,7 +35,9 @@ HISTORY_FILE=${BASELINE_DIR}/PERF_HISTORY.jsonl
 
 # The pinned subset: one framework batch-cost point, the two interesting
 # parallelism-sweep points (p=1 serial-engine hot path, p=32 ~ diameter),
-# the clean + faulty BFS rows of the reliable-transport overhead bench,
+# the clean + faulty BFS rows of the reliable-transport overhead bench
+# plus its fault-free reliable-vs-direct row on path(128) (the
+# synchronizer's per-round tax at depth),
 # two recovery-tax rows (full replay vs dense checkpoints) whose
 # recovery_rounds/recovery_words counters pin the E-recover accounting,
 # two gate-level Grover searches (14 qubits, and 16, paper-sweep's slowest
@@ -44,7 +46,7 @@ HISTORY_FILE=${BASELINE_DIR}/PERF_HISTORY.jsonl
 # baseline (multi-source BFS from every node), whose rounds/words counters
 # pin its send schedule.
 FRAMEWORK_FILTER='BM_BatchCost/n:64/k:1024/p:8/q:10|BM_ParallelismSweep/p:(1|32)/'
-FAULT_FILTER='BM_FaultOverheadBfs/drop_permille:(0|50)/n:31'
+FAULT_FILTER='BM_FaultOverheadBfs/drop_permille:(0|50)/n:31|BM_FaultOverheadDepth/n:128'
 RECOVER_FILTER='BM_RecoveryTaxBfs/ckpt_every:(0|2)/n:31'
 STATEVECTOR_FILTER='BM_GroverIterate/qubits:(14|16)'
 DIAMETER_FILTER='BM_ClassicalApsp/topology:1/n:128'

@@ -13,9 +13,10 @@ namespace qcongest::cache {
 /// anywhere in the engine, apps, transport, recovery, or report layers can
 /// alter the bytes a run produces — the key derivation has no way to see
 /// such changes, so the salt is the invalidation lever ("invalidation by
-/// code version", DESIGN.md §14). The suffix tracks the PR that last
-/// changed run-visible behaviour.
-inline constexpr std::string_view kCodeVersionSalt = "qcongest-pr9";
+/// code version", DESIGN.md §14). The suffix names the change that last
+/// altered run-visible behaviour: the reliable transport's horizon
+/// synchronizer, which moved every reliable-transport report.
+inline constexpr std::string_view kCodeVersionSalt = "qcongest-horizon-sync";
 
 /// The effective salt: QCONGEST_CACHE_SALT when set and non-empty
 /// (CI's invalidation smoke flips it to prove a full miss), else

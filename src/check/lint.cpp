@@ -841,8 +841,10 @@ void check_untrusted_narrowing(RuleCtx& ctx) {
 // --- Rule: hot-path-alloc ---------------------------------------------------
 
 /// The per-word / per-amplitude functions: Engine's round loop runs these
-/// tens of thousands of times per trial, Statevector::apply* once per gate
-/// per 2^q amplitudes (widen once per state, in place), and
+/// tens of thousands of times per trial, the reliable transport's wrapper
+/// (ReliableProgram, defined out of class so the matcher sees it) once per
+/// node per physical round and once per physical word, Statevector::apply*
+/// once per gate per 2^q amplitudes (widen once per state, in place), and
 /// Circuit::apply_to's grouping loop once per op of every Grover iterate.
 /// A heap allocation here is an allocator round-trip multiplied by the
 /// hottest loop in the repo — the arena/pooling work of DESIGN.md §13
@@ -863,14 +865,20 @@ const HotFn kHotFns[] = {
     {"Statevector", "cz"},          {"Statevector", "ccx"},
     {"Statevector", "swap_qubits"}, {"Statevector", "h_all"},
     {"Statevector", "widen"},       {"Circuit", "apply_to"},
+    {"ReliableProgram", "on_round"},      {"ReliableProgram", "handle_chunk"},
+    {"ReliableProgram", "drain_ready"},   {"ReliableProgram", "execute_round"},
+    {"ReliableProgram", "transmit"},
 };
 
 void check_hot_path_alloc(RuleCtx& ctx) {
   const bool engine_tu = path_contains(ctx.path, "net/engine");
+  const bool reliable_tu = path_contains(ctx.path, "net/reliable");
   const bool statevector_tu = path_contains(ctx.path, "quantum/statevector");
   const bool circuit_tu = path_contains(ctx.path, "quantum/circuit");
   const bool kernels_tu = path_contains(ctx.path, "quantum/kernels");
-  if (!engine_tu && !statevector_tu && !circuit_tu && !kernels_tu) return;
+  if (!engine_tu && !reliable_tu && !statevector_tu && !circuit_tu && !kernels_tu) {
+    return;
+  }
   const std::vector<Token>& code = ctx.code;
 
   // Receivers whose capacity is managed somewhere in this TU: a reserve /
@@ -926,7 +934,8 @@ void check_hot_path_alloc(RuleCtx& ctx) {
   auto flag = [&](std::size_t line, const std::string& what) {
     ctx.flag(line, "hot-path-alloc",
              what + " in a per-word/per-amplitude hot path (Engine round "
-                   "loop, Statevector::apply*, Circuit::apply_to, kernels): "
+                   "loop, the reliable transport's per-word path, "
+                   "Statevector::apply*, Circuit::apply_to, kernels): "
                    "an allocator round-trip multiplied by the hottest loop "
                    "in the repo — use the pass arena / pooled buffers "
                    "(DESIGN.md §13), reserve up front, or qlint-allow a "
@@ -1085,7 +1094,8 @@ const std::vector<RuleInfo>& rule_infos() {
        "bound check"},
       {"hot-path-alloc",
        "heap allocation (new, unreserved push_back, std::function) in the "
-       "Engine round loop, Statevector::apply*, or the SIMD kernels"},
+       "Engine round loop, the reliable transport's per-word path, "
+       "Statevector::apply*, or the SIMD kernels"},
       {"catch-all-swallow",
        "catch (...) that neither rethrows nor produces a structured error"},
       {"unchecked-io-result",

@@ -17,7 +17,7 @@ namespace qcongest::recover {
 class LivelockError : public std::runtime_error {
  public:
   enum class Kind {
-    /// Rounds keep burning with sends (retransmissions, polls) but nothing
+    /// Rounds keep burning with sends (retransmissions) but nothing
     /// has been delivered for stall_rounds — the signature of a retransmit
     /// storm aimed at a dead node.
     kRetransmitStorm,
@@ -87,8 +87,8 @@ struct WatchdogConfig {
 
 /// Run-level liveness monitor on the engine observer hook. A permanently
 /// crashed neighbor (CrashEvent::kNeverRestarts) under the reliable
-/// transport otherwise livelocks a run — peers poll and retransmit into the
-/// void until the stretched round budget finally expires, reporting only a
+/// transport otherwise livelocks a run — peers retransmit into the void
+/// until the stretched round budget finally expires, reporting only a
 /// bland incomplete run. The watchdog instead converts the hang into a
 /// LivelockError naming the suspected-dead nodes.
 ///
@@ -96,9 +96,8 @@ struct WatchdogConfig {
 /// when it swallows a word while crashed and leaves it on the next
 /// successful delivery to it (a restart heals it); a suspect that stays in
 /// the set for stall_rounds trips kRetransmitStorm. A run-wide no-delivery
-/// clock would be fooled by the secondary traffic a dead node provokes —
-/// distant nodes keep polling the dead node's stalled-but-live neighbors,
-/// and those polls deliver fine, forever.
+/// clock would be fooled by traffic that keeps flowing among live nodes
+/// elsewhere in the network.
 ///
 /// Install it last in the engine's observer list (Engine::set_observers;
 /// NetOptions::configure does): it throws from on_round_end, and the

@@ -201,18 +201,16 @@ std::vector<std::pair<const char*, Gate1>> run_zoo() {
   return zoo;
 }
 
-/// Calls f(qubits, targets) for every ordered triple of distinct targets at
-/// 3-8 qubits.
+/// Calls f(targets) for every ordered triple of distinct targets at
+/// `qubits` qubits.
 template <typename F>
-void for_each_target_triple(const F& f) {
-  for (unsigned qubits = 3; qubits <= 8; ++qubits) {
-    for (unsigned t0 = 0; t0 < qubits; ++t0) {
-      for (unsigned t1 = 0; t1 < qubits; ++t1) {
-        for (unsigned t2 = 0; t2 < qubits; ++t2) {
-          if (t0 == t1 || t0 == t2 || t1 == t2) continue;
-          const unsigned targets[] = {t0, t1, t2};
-          f(qubits, targets);
-        }
+void for_each_target_triple(unsigned qubits, const F& f) {
+  for (unsigned t0 = 0; t0 < qubits; ++t0) {
+    for (unsigned t1 = 0; t1 < qubits; ++t1) {
+      for (unsigned t2 = 0; t2 < qubits; ++t2) {
+        if (t0 == t1 || t0 == t2 || t1 == t2) continue;
+        const unsigned targets[] = {t0, t1, t2};
+        f(targets);
       }
     }
   }
@@ -306,30 +304,19 @@ TEST(KernelEquivalence, RealControlledEveryMaskShape) {
   }
 }
 
-/// Random complex and real states at 0-8 qubits, one per qubit count.
-struct RunBases {
-  std::vector<std::vector<Amplitude>> complex;
-  std::vector<RealState> real;
-  explicit RunBases(std::uint64_t seed) {
-    for (unsigned qubits = 0; qubits <= 8; ++qubits) {
-      complex.push_back(random_state(qubits, seed + qubits));
-      real.push_back(random_real_state(qubits, seed + 100 + qubits));
-    }
-  }
-};
-
-TEST(KernelEquivalence, RunEntryEveryGateTripleEveryTargetTriple) {
-  // The real run entry against the complex scalar oracle's three calls:
-  // every gate triple of run_zoo() on every ordered target triple, packed
-  // and viewed. The oracle after the first one and two gates is shared by
-  // every run that starts with them.
-  const RunBases bases(3000);
+/// The real run entry against the complex scalar oracle's three calls at
+/// `qubits` qubits: every gate triple of run_zoo() on every ordered target
+/// triple, packed and viewed. The oracle after the first one and two gates
+/// is shared by every run that starts with them.
+void check_run_entry_against_oracle(unsigned qubits) {
+  const auto base = random_state(qubits, 3000 + qubits);
+  const auto real_base = random_real_state(qubits, 3100 + qubits);
   const auto zoo = run_zoo();
-  for_each_target_triple([&](unsigned qubits, const unsigned* targets) {
+  for_each_target_triple(qubits, [&](const unsigned* targets) {
     // oracle[k] / real_oracle[k]: the view's and the packed state's values
     // after the run's first k gates.
-    std::vector<Amplitude> oracle[4] = {bases.complex[qubits]};
-    std::vector<Amplitude> real_oracle[4] = {bases.real[qubits].complex};
+    std::vector<Amplitude> oracle[4] = {base};
+    std::vector<Amplitude> real_oracle[4] = {real_base.complex};
     std::vector<Amplitude> view;
     std::vector<double> packed;
     std::size_t pick[3];
@@ -358,9 +345,9 @@ TEST(KernelEquivalence, RunEntryEveryGateTripleEveryTargetTriple) {
             names[k] = zoo[pick[k]].first;
           }
           for (const auto& [bname, ops] : all_backends()) {
-            view = bases.complex[qubits];
+            view = base;
             ops->real_run(as_doubles(view), 2 * view.size(), {viewed, 3});
-            packed = bases.real[qubits].packed;
+            packed = real_base.packed;
             ops->real_run(packed.data(), packed.size(), {steps, 3});
             if (!equal_values(view, oracle[3]) ||
                 !equal_values(packed, real_oracle[3])) {
@@ -376,17 +363,18 @@ TEST(KernelEquivalence, RunEntryEveryGateTripleEveryTargetTriple) {
   });
 }
 
-TEST(KernelEquivalence, RunEntryIsItsOneGateCallsByteForByte) {
-  // Each backend's run against its own one-gate calls in order, on the
-  // view and on packed reals; the calls for the first one and two gates
-  // are shared by every run that starts with them.
-  const RunBases bases(4000);
+/// Each backend's run against its own one-gate calls in order at `qubits`
+/// qubits, on the view and on packed reals; the calls for the first one
+/// and two gates are shared by every run that starts with them.
+void check_run_entry_against_one_gate_calls(unsigned qubits) {
+  const auto base = random_state(qubits, 4000 + qubits);
+  const auto real_base = random_real_state(qubits, 4100 + qubits);
   const auto zoo = run_zoo();
   for (const auto& [bname, ops] : all_backends()) {
-    for_each_target_triple([&](unsigned qubits, const unsigned* targets) {
+    for_each_target_triple(qubits, [&](const unsigned* targets) {
       // calls[k] / packed_calls[k]: after the first k one-gate calls.
-      std::vector<Amplitude> calls[4] = {bases.complex[qubits]};
-      std::vector<double> packed_calls[4] = {bases.real[qubits].packed};
+      std::vector<Amplitude> calls[4] = {base};
+      std::vector<double> packed_calls[4] = {real_base.packed};
       std::vector<Amplitude> run;
       std::vector<double> packed;
       kernels::RealStep viewed[3];
@@ -409,9 +397,9 @@ TEST(KernelEquivalence, RunEntryIsItsOneGateCallsByteForByte) {
           extend(1);
           for (pick[2] = 0; pick[2] < zoo.size(); ++pick[2]) {
             extend(2);
-            run = bases.complex[qubits];
+            run = base;
             ops->real_run(as_doubles(run), 2 * run.size(), {viewed, 3});
-            packed = bases.real[qubits].packed;
+            packed = real_base.packed;
             ops->real_run(packed.data(), packed.size(), {steps, 3});
             if (!same_bytes(run, calls[3]) || !same_bytes(packed, packed_calls[3])) {
               const char* names[3];
@@ -425,6 +413,34 @@ TEST(KernelEquivalence, RunEntryIsItsOneGateCallsByteForByte) {
     });
   }
 }
+
+// The run-entry suites at 3-8 qubits, one test case per qubit count: the
+// cost grows with qubits^3 * 2^qubits, so one case per count lets the slow
+// lanes spread them over cores. 8 qubits, the largest count, runs under the
+// plain KernelEquivalence names; 3-7 qubits are the RunEntryByQubits
+// instances. Each count's random states are seeded by the count alone.
+TEST(KernelEquivalence, RunEntryEveryGateTripleEveryTargetTriple) {
+  check_run_entry_against_oracle(8);
+}
+
+TEST(KernelEquivalence, RunEntryIsItsOneGateCallsByteForByte) {
+  check_run_entry_against_one_gate_calls(8);
+}
+
+class RunEntryByQubits : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(RunEntryByQubits, EveryGateTripleEveryTargetTriple) {
+  check_run_entry_against_oracle(GetParam());
+}
+
+TEST_P(RunEntryByQubits, IsItsOneGateCallsByteForByte) {
+  check_run_entry_against_one_gate_calls(GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(KernelEquivalence, RunEntryByQubits, ::testing::Range(3u, 8u),
+                         [](const auto& info) {
+                           return std::to_string(info.param) + "qubits";
+                         });
 
 /// A generic complex state through the public API: random RY angles, a
 /// CNOT chain, random RY angles again, then a random phase on every basis

@@ -765,6 +765,22 @@ TEST(QlintHotPath, FlagsAllocationInStatevectorWiden) {
   EXPECT_EQ(d[0].line, 2u);
 }
 
+TEST(QlintHotPath, FlagsAllocationInReliableTransmit) {
+  // The reliable transport's wrapper runs transmit once per node per
+  // physical round; its per-run setup (initialize) sits in the same
+  // translation unit and allocates freely.
+  auto d = lint_source("src/net/reliable.cpp",
+                       "void ReliableProgram::initialize(Context& ctx) {\n"
+                       "  links_.push_back(ctx.id());\n"
+                       "}\n"
+                       "void ReliableProgram::transmit(Context& ctx) {\n"
+                       "  auto frame = std::make_unique<Word>();\n"
+                       "}\n");
+  ASSERT_EQ(d.size(), 1u);
+  EXPECT_EQ(d[0].rule, "hot-path-alloc");
+  EXPECT_EQ(d[0].line, 5u);
+}
+
 TEST(QlintHotPath, ColdEngineSetupAllocatesFreely) {
   // set_fault_plan is per-run setup, not the round loop: unreserved growth
   // there is outside the rule's hot-function list.

@@ -6,8 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <tuple>
 
 #include "src/apps/eccentricity.hpp"
+#include "src/apps/registry.hpp"
 #include "src/net/bfs.hpp"
 #include "src/net/engine.hpp"
 #include "src/net/fault.hpp"
@@ -133,10 +136,68 @@ TEST(ReliableTransport, ReplaysDeterministically) {
   EXPECT_GT(first.retransmissions, 0u);
 }
 
-// The synchronizer presents identical virtual rounds whatever the loss
-// rate: the *protocol-level* outcome (here, the elected leader and the BFS
-// depths) must be invariant across fault plans; only cost counters move.
+/// Floods two hop-count waves, one from node 0 in round 0 and one from the
+/// highest id after three keep_alive rounds, and records every (round,
+/// inbox) the node is shown. Both waves can cross an edge in the same
+/// round, so it needs B = 2.
+class WaveRecorder final : public NodeProgram {
+ public:
+  using Seen = std::tuple<NodeId, std::int32_t, std::int64_t, std::int64_t>;
+  std::vector<std::pair<std::size_t, std::vector<Seen>>> log;
+
+  void on_round(Context& ctx, std::span<const Message> inbox) override {
+    std::vector<Seen> seen;
+    for (const Message& m : inbox) {
+      seen.emplace_back(m.from, m.word.tag, m.word.a, m.word.b);
+    }
+    log.emplace_back(ctx.round(), std::move(seen));
+    auto flood = [&](std::int32_t wave, std::int64_t hops) {
+      reached_[wave] = true;
+      for (NodeId v : ctx.neighbors()) {
+        ctx.send(v, Word{wave, hops, static_cast<std::int64_t>(ctx.id()), false});
+      }
+    };
+    const NodeId last = ctx.num_nodes() - 1;
+    if (ctx.id() == 0 && ctx.round() == 0) flood(0, 0);
+    if (ctx.id() == last && ctx.round() < 3) ctx.keep_alive();
+    if (ctx.id() == last && ctx.round() == 3) flood(1, 0);
+    for (const Message& m : inbox) {
+      if (!reached_[m.word.tag]) flood(m.word.tag, m.word.a + 1);
+    }
+  }
+
+ private:
+  bool reached_[2] = {false, false};
+};
+
+// The synchronizer presents the direct engine's rounds whatever the loss
+// rate: every node is shown exactly the (round, inbox) sequence the direct
+// transport shows it on a perfect network, inboxes in ascending sender id,
+// and the *protocol-level* outcome (here, the BFS depths) is invariant
+// across fault plans; only cost counters move.
 TEST(ReliableTransport, InnerExecutionInvariantAcrossFaultRates) {
+  auto record = [](const Graph& g, Transport transport, double drop) {
+    Engine engine(g, 2, 19);
+    if (drop > 0) engine.set_fault_plan(lossy_plan(drop, drop / 5, drop / 10));
+    engine.set_transport(transport);
+    std::vector<std::unique_ptr<NodeProgram>> programs;
+    for (std::size_t v = 0; v < g.num_nodes(); ++v) {
+      programs.push_back(std::make_unique<WaveRecorder>());
+    }
+    EXPECT_TRUE(engine.run(programs, 200).completed);
+    std::vector<decltype(WaveRecorder::log)> logs;
+    for (const auto& p : programs) logs.push_back(static_cast<WaveRecorder&>(*p).log);
+    return logs;
+  };
+  for (const char* family : {"path", "cycle", "grid", "star", "random", "complete"}) {
+    SCOPED_TRACE(family);
+    Graph g = apps::make_registry_graph(family, 12, 23);
+    auto direct = record(g, Transport::kDirect, 0.0);
+    ASSERT_GT(direct[0].size(), 3u);
+    EXPECT_EQ(record(g, Transport::kReliable, 0.0), direct);
+    EXPECT_EQ(record(g, Transport::kReliable, 0.05), direct);
+  }
+
   util::Rng topo(17);
   Graph g = random_connected_graph(14, 10, topo);
   auto depths = [&](double drop) {
@@ -148,6 +209,44 @@ TEST(ReliableTransport, InnerExecutionInvariantAcrossFaultRates) {
   auto clean = depths(0.0);
   auto lossy = depths(0.2);
   EXPECT_EQ(clean, lossy);
+}
+
+// A reliable virtual round costs a constant number of physical rounds, not
+// one per hop of diameter: the horizon runs every node through every round,
+// so a front moving one hop per round never waits on the idle rest of the
+// graph. Fault-free, each app's reliable/direct round ratio stays under 6
+// at every depth (4.0-4.5 is what 2-chunk frames, fences and acks cost at
+// B = 1).
+class FaultFreeRoundRatio : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(FaultFreeRoundRatio, StaysUnderSixAtEveryDepth) {
+  for (std::size_t n : {64, 128, 256}) {
+    Graph g = apps::make_registry_graph(GetParam(), n, 1);
+    for (const char* app : {"leader", "bfs", "downcast", "convergecast", "multibfs"}) {
+      SCOPED_TRACE(std::string(app) + " n=" + std::to_string(n));
+      apps::NetOptions direct;
+      apps::NetOptions reliable;
+      reliable.transport = Transport::kReliable;
+      apps::AppOutcome base = (*apps::find_app(app))(g, direct);
+      apps::AppOutcome out = (*apps::find_app(app))(g, reliable);
+      ASSERT_TRUE(base.success);
+      ASSERT_TRUE(out.success);
+      EXPECT_LE(out.cost.rounds, 6 * base.cost.rounds);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(ReliableTransport, FaultFreeRoundRatio,
+                         ::testing::Values("path", "cycle", "grid"),
+                         [](const auto& info) { return std::string(info.param); });
+
+TEST(ReliableTransport, EveryRegistryAppCompletesOnAPathOf256) {
+  Graph g = path_graph(256);
+  apps::NetOptions options;
+  options.transport = Transport::kReliable;
+  for (const apps::RegisteredApp& app : apps::app_registry()) {
+    EXPECT_TRUE(app.run(g, options).success) << app.name;
+  }
 }
 
 TEST(ReliableTransport, StretchedBudgetStillBoundsDivergentRuns) {
@@ -188,10 +287,11 @@ TEST(ReliableTransport, CrashRestartOutageIsBridged) {
 
 TEST(ReliableTransport, KeepAliveDefersQuiescence) {
   // The wrapper's Context routes keep_alive to the link layer. Node 0 idles
-  // on purpose for five virtual rounds, then sends: with keep_alive the
-  // lazy fences keep executing its silent rounds; without it no node has a
-  // reason to run round 5 and the network goes quiet first — the same
-  // contract the engine imposes under the direct transport.
+  // on purpose for five virtual rounds, then sends: with keep_alive each
+  // silent round raises the horizon to the next one, so every node keeps
+  // executing; without it the horizon stays at round 0, no node runs round
+  // 5 and the network goes quiet first — the same contract the engine
+  // imposes under the direct transport.
   class Sleeper final : public NodeProgram {
    public:
     explicit Sleeper(bool keep_alive) : keep_alive_(keep_alive) {}

@@ -137,9 +137,12 @@ struct Options {
 
 // Crash window of the --amnesia lane, in physical rounds: late enough that
 // at least one committed virtual round of state is lost, early enough that
-// every app's first engine run is still in flight when it opens.
-constexpr std::size_t kCrashRound = 30;
-constexpr std::size_t kRestartRound = 60;
+// every app's first engine run is still in flight when it opens. The
+// reliable transport runs a virtual round in about four physical ones, so
+// the shortest first phases here (bfs, convergecast's tree build: under
+// 20 physical rounds on the 15-node tree) close well before round 30.
+constexpr std::size_t kCrashRound = 6;
+constexpr std::size_t kRestartRound = 30;
 // Watchdog stall bound: must comfortably exceed the crash window plus the
 // reliable transport's retransmission backoff cap (ReliableParams::rto_cap).
 constexpr std::size_t kLaneStallRounds = 512;
